@@ -14,13 +14,16 @@ end.
 from __future__ import annotations
 
 from .engine import (
+    BREAKER_OWNED,
+    FREE,
+    GOALS,
+    MAKER_OWNED,
     Bias,
     GameState,
     IllegalMoveError,
     MalformedCertificateError,
     Move,
     MoveKind,
-    Ownership,
     Player,
     apply_move,
     connectivity_won,
@@ -65,8 +68,9 @@ from .transcript import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BREAKER_OWNED", "FREE", "GOALS", "MAKER_OWNED",
     "Bias", "GameState", "IllegalMoveError", "MalformedCertificateError",
-    "Move", "MoveKind", "Ownership", "Player", "apply_move",
+    "Move", "MoveKind", "Player", "apply_move",
     "connectivity_won", "degree_b", "degree_m", "hamilton_won",
     "legal_moves", "maker_move_count", "new_game",
     "MonitorSuite",

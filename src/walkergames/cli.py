@@ -30,7 +30,7 @@ import os
 import sys
 from typing import Optional
 
-from .engine import Player
+from .engine import GOALS, Player
 from .oracle import ORACLE_MAX_N, OracleLimitError, cross_validate, solve
 from .runner import (
     DEFAULT_N0,
@@ -325,7 +325,7 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common_game_flags(p: argparse.ArgumentParser):
-    p.add_argument("--goal", choices=["connectivity", "hamilton"],
+    p.add_argument("--goal", choices=list(GOALS),
                    default="connectivity")
     p.add_argument("--bias", default="1:1",
                    help="moves per turn as MAKER:BREAKER, e.g. 1:2")
@@ -387,7 +387,7 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="exact value of a tiny board")
     p_solve.add_argument("--n", type=int, required=True,
                          help=f"board size, at most {ORACLE_MAX_N}")
-    p_solve.add_argument("--goal", choices=["connectivity", "hamilton"],
+    p_solve.add_argument("--goal", choices=list(GOALS),
                          default="connectivity")
     p_solve.add_argument("--first", choices=["maker", "breaker"],
                          default="breaker")

@@ -16,6 +16,9 @@ Conventions
 -----------
 * Vertices are integers 0..n-1. Edges are unordered pairs stored in
   canonical (low, high) form and indexed into a flat triangular array.
+* Each slot of that array holds one int edge code: ``FREE``,
+  ``MAKER_OWNED`` or ``BREAKER_OWNED``. ``Player.owns`` maps a player
+  to the code of the edges it claims.
 * ``GameState`` is treated as immutable: ``apply_move`` returns a new
   state and never mutates its input.
 * ``round`` counts completed (first player, second player) pairs;
@@ -25,8 +28,12 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+
+# Edge codes, one per slot of ``GameState.edges``.
+FREE, MAKER_OWNED, BREAKER_OWNED = 0, 1, 2
 
 
 class Player(Enum):
@@ -37,14 +44,10 @@ class Player(Enum):
     def other(self) -> "Player":
         return Player.BREAKER if self is Player.MAKER else Player.MAKER
 
-
-class Ownership(IntEnum):
-    FREE = 0
-    MAKER = 1
-    BREAKER = 2
-
-
-OWNER_OF = {Player.MAKER: Ownership.MAKER, Player.BREAKER: Ownership.BREAKER}
+    @property
+    def owns(self) -> int:
+        """The edge code of the edges this player claims."""
+        return MAKER_OWNED if self is Player.MAKER else BREAKER_OWNED
 
 
 class MoveKind(str, Enum):
@@ -122,7 +125,7 @@ class GameState:
     n: int
     bias: Bias
     first_player: Player
-    edges: list  # flat list of Ownership ints, length n(n-1)/2
+    edges: list  # flat list of edge codes, length n(n-1)/2
     maker_pos: Optional[int]
     breaker_pos: Optional[int]
     unvisited: set          # vertices incident to no Maker edge
@@ -138,11 +141,11 @@ class GameState:
     breaker_moves: int
     passes: int
 
-    def owner(self, a: int, b: int) -> Ownership:
-        return Ownership(self.edges[edge_index(self.n, a, b)])
+    def owner(self, a: int, b: int) -> int:
+        return self.edges[edge_index(self.n, a, b)]
 
     def is_free(self, a: int, b: int) -> bool:
-        return self.edges[edge_index(self.n, a, b)] == Ownership.FREE
+        return self.edges[edge_index(self.n, a, b)] == FREE
 
     def position(self, player: Player) -> Optional[int]:
         return self.maker_pos if player is Player.MAKER else self.breaker_pos
@@ -196,17 +199,17 @@ def legal_moves(state: GameState, player: Player) -> list:
             for t in range(n):
                 if s == t:
                     continue
-                if edges[edge_index(n, s, t)] == Ownership.FREE:
+                if edges[edge_index(n, s, t)] == FREE:
                     moves.append(Move.place(s, t))
         return moves if moves else [Move.pass_()]
-    own = OWNER_OF[player]
+    own = player.owns
     claims = []
     walks = []
     for t in range(n):
         if t == pos:
             continue
         o = edges[edge_index(n, pos, t)]
-        if o == Ownership.FREE:
+        if o == FREE:
             claims.append(Move.claim(t))
         elif o == own:
             walks.append(Move.traverse(t))
@@ -230,59 +233,40 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
         raise IllegalMoveError("wrong-player", f"{player.value} is not to move")
     pos = state.position(player)
     n = state.n
-    own = OWNER_OF[player]
+    own = player.owns
 
     claimed = None   # canonical pair claimed by this move, if any
     new_pos = pos
 
-    if move.kind is MoveKind.PLACE:
-        if pos is not None:
-            raise IllegalMoveError("wrong-kind", "placement after the walk has started")
-        _check_vertex(state, move.start, "start")
-        _check_vertex(state, move.target, "target")
-        if move.start == move.target:
-            raise IllegalMoveError("loop", f"placement on loop at {move.start}")
-        o = state.owner(move.start, move.target)
-        if o == Ownership(own):
-            raise IllegalMoveError("own-edge", "placement edge already owned")
-        if o != Ownership.FREE:
-            raise IllegalMoveError("opponent-edge",
-                                   f"placement edge {move.start}-{move.target} is the opponent's")
-        claimed = (min(move.start, move.target), max(move.start, move.target))
-        new_pos = move.target
-    elif move.kind is MoveKind.CLAIM:
-        if pos is None:
-            raise IllegalMoveError("wrong-kind", "claim before placement")
-        _check_vertex(state, move.target, "target")
-        if move.target == pos:
-            raise IllegalMoveError("loop", f"claim of loop at {pos}")
-        o = state.owner(pos, move.target)
-        if o == Ownership(own):
-            raise IllegalMoveError("own-edge", f"edge {pos}-{move.target} already owned")
-        if o != Ownership.FREE:
-            raise IllegalMoveError("opponent-edge", f"edge {pos}-{move.target} is the opponent's")
-        claimed = (min(pos, move.target), max(pos, move.target))
-        new_pos = move.target
-    elif move.kind is MoveKind.TRAVERSE:
-        if pos is None:
-            raise IllegalMoveError("wrong-kind", "traversal before placement")
-        _check_vertex(state, move.target, "target")
-        if move.target == pos:
-            raise IllegalMoveError("loop", f"traversal loop at {pos}")
-        o = state.owner(pos, move.target)
-        if o == OWNER_OF[player.other]:
-            raise IllegalMoveError("opponent-edge",
-                                   f"edge {pos}-{move.target} is the opponent's")
-        if o != Ownership(own):
-            raise IllegalMoveError("unclaimed-edge",
-                                   f"edge {pos}-{move.target} is not an own edge")
-        new_pos = move.target
-    elif move.kind is MoveKind.PASS:
+    if move.kind is MoveKind.PASS:
         others = legal_moves(state, player)
         if not (len(others) == 1 and others[0].kind is MoveKind.PASS):
             raise IllegalMoveError("pass-with-moves", "pass while claims or traversals exist")
-    else:  # pragma: no cover - MoveKind is closed
-        raise IllegalMoveError("wrong-kind", f"unknown kind {move.kind!r}")
+    else:
+        placing = move.kind is MoveKind.PLACE
+        if placing and pos is not None:
+            raise IllegalMoveError("wrong-kind", "placement after the walk has started")
+        if not placing and pos is None:
+            raise IllegalMoveError("wrong-kind", f"{move.kind.value} before placement")
+        origin = move.start if placing else pos
+        if placing:
+            _check_vertex(state, origin, "start")
+        _check_vertex(state, move.target, "target")
+        if move.target == origin:
+            raise IllegalMoveError("loop", f"{move.kind.value} loop at {origin}")
+        # A traversal needs an own edge; a placement or claim a free one.
+        o = state.owner(origin, move.target)
+        if o != (own if move.kind is MoveKind.TRAVERSE else FREE):
+            if o == FREE:
+                rule, why = "unclaimed-edge", "is not an own edge"
+            elif o == own:
+                rule, why = "own-edge", "is already owned"
+            else:
+                rule, why = "opponent-edge", "is the opponent's"
+            raise IllegalMoveError(rule, f"edge {origin}-{move.target} {why}")
+        if move.kind is not MoveKind.TRAVERSE:
+            claimed = (min(origin, move.target), max(origin, move.target))
+        new_pos = move.target
 
     edges = list(state.edges)
     unvisited = state.unvisited
@@ -294,7 +278,7 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
 
     if claimed is not None:
         a, b = claimed
-        edges[edge_index(n, a, b)] = int(own)
+        edges[edge_index(n, a, b)] = own
         if player is Player.MAKER:
             deg_m = list(deg_m)
             deg_m[a] += 1
@@ -372,7 +356,7 @@ def degree_b(state: GameState, x: int, restrict: Optional[Iterable[int]] = None)
     edges = state.edges
     return sum(
         1 for t in restrict
-        if t != x and edges[edge_index(n, x, t)] == Ownership.BREAKER
+        if t != x and edges[edge_index(n, x, t)] == BREAKER_OWNED
     )
 
 
@@ -384,13 +368,16 @@ def degree_m(state: GameState, x: int, restrict: Optional[Iterable[int]] = None)
     edges = state.edges
     return sum(
         1 for t in restrict
-        if t != x and edges[edge_index(n, x, t)] == Ownership.MAKER
+        if t != x and edges[edge_index(n, x, t)] == MAKER_OWNED
     )
 
 
 # ---------------------------------------------------------------------------
 # Win detection
 # ---------------------------------------------------------------------------
+
+GOALS = ("connectivity", "hamilton")  # decided by the two predicates below
+
 
 def connectivity_won(state: GameState) -> bool:
     """True iff Maker has visited every vertex.
@@ -426,7 +413,7 @@ def hamilton_won(state: GameState, certificate: Optional[Sequence[int]] = None) 
                 raise MalformedCertificateError(f"certificate repeats vertex {v}")
             seen.add(v)
         return all(
-            state.owner(cert[i], cert[(i + 1) % n]) == Ownership.MAKER
+            state.owner(cert[i], cert[(i + 1) % n]) == MAKER_OWNED
             for i in range(n)
         )
     if n > HAMILTON_SEARCH_LIMIT:
@@ -496,10 +483,10 @@ def recomputed_degrees(state: GameState) -> tuple:
     deg_m = [0] * state.n
     deg_b = [0] * state.n
     for i, o in enumerate(state.edges):
-        if o == Ownership.FREE:
+        if o == FREE:
             continue
         a, b = _edge_from_index(state.n, i)
-        if o == Ownership.MAKER:
+        if o == MAKER_OWNED:
             deg_m[a] += 1
             deg_m[b] += 1
         else:

@@ -34,6 +34,10 @@ from itertools import permutations
 from typing import Optional
 
 from .engine import (
+    BREAKER_OWNED,
+    FREE,
+    GOALS,
+    MAKER_OWNED,
     Bias,
     GameState,
     IllegalMoveError,
@@ -48,9 +52,6 @@ from .engine import (
 
 ORACLE_MAX_N = 5
 _INF = 10 ** 9
-
-_MAKER, _BREAKER = 0, 1
-_FREE, _OWN_MAKER, _OWN_BREAKER = 0, 1, 2
 
 
 class OracleLimitError(RuntimeError):
@@ -95,11 +96,15 @@ def _hamilton_cycle_masks(n: int, eidx) -> tuple:
 
 
 class _Solver:
+    """A position is (own, mpos, bpos, to_move): the engine's edge codes
+    as bytes, the two positions (-1 before placement) and the mover as
+    the edge code it claims with (``Player.owns``)."""
+
     def __init__(self, n: int, goal: str, node_limit: int):
         if n < 3 or n > ORACLE_MAX_N:
             raise ValueError(
                 f"exact solving supports 3 <= n <= {ORACLE_MAX_N}, got {n}")
-        if goal not in ("connectivity", "hamilton"):
+        if goal not in GOALS:
             raise ValueError(f"unknown goal {goal!r}")
         self.n = n
         self.goal = goal
@@ -125,7 +130,7 @@ class _Solver:
         e = 0
         for a in range(n):
             for b in range(a + 1, n):
-                if own[e] == _OWN_MAKER:
+                if own[e] == MAKER_OWNED:
                     visited |= (1 << a) | (1 << b)
                     medges |= 1 << e
                 e += 1
@@ -144,18 +149,18 @@ class _Solver:
         n = self.n
         if pos < 0:
             if (reduce_symmetry and other_pos < 0
-                    and all(o == _FREE for o in own)):
+                    and all(o == FREE for o in own)):
                 # Empty board: every placement is equivalent under
                 # relabeling, so explore one representative.
                 return [("P", 0, 1)]
             out = []
             for s in range(n):
                 for t in range(n):
-                    if s != t and own[self.eidx[s][t]] == _FREE:
+                    if s != t and own[self.eidx[s][t]] == FREE:
                         out.append(("P", s, t))
             return out
         claims = [("C", t) for t in range(n)
-                  if t != pos and own[self.eidx[pos][t]] == _FREE]
+                  if t != pos and own[self.eidx[pos][t]] == FREE]
         travs = [("T", t) for t in range(n)
                  if t != pos and own[self.eidx[pos][t]] == mine]
         if not claims and not travs:
@@ -163,6 +168,24 @@ class _Solver:
         return claims + travs
 
     # -- search --------------------------------------------------------------
+
+    def _child(self, own: bytes, mpos: int, bpos: int, to_move: int,
+               mv: tuple) -> tuple:
+        """(own, mpos, bpos, to_move, cost) after the side to move plays
+        ``mv``; cost is 1 for a non-pass Maker move, else 0."""
+        kind = mv[0]
+        nxt = MAKER_OWNED + BREAKER_OWNED - to_move
+        if kind == "X":
+            return own, mpos, bpos, nxt, 0
+        target = mv[-1]
+        maker_turn = to_move == MAKER_OWNED
+        if kind != "T":
+            origin = mv[1] if kind == "P" else (mpos if maker_turn else bpos)
+            e = self.eidx[origin][target]
+            own = own[:e] + bytes([to_move]) + own[e + 1:]
+        if maker_turn:
+            return own, target, bpos, nxt, 1
+        return own, mpos, target, nxt, 0
 
     def value(self, own: bytes, mpos: int, bpos: int, to_move: int,
               budget: int) -> int:
@@ -184,36 +207,14 @@ class _Solver:
                 f"search exceeded {self.node_limit} nodes; raise the limit "
                 "or shrink the problem")
         self.onpath.add(key)
-        maker_turn = to_move == _MAKER
-        mine = _OWN_MAKER if maker_turn else _OWN_BREAKER
+        maker_turn = to_move == MAKER_OWNED
         pos = mpos if maker_turn else bpos
         best = _INF if maker_turn else -1
         best_move = None
         other = bpos if maker_turn else mpos
-        for mv in self._moves(own, pos, mine, other, reduce_symmetry=True):
-            kind = mv[0]
-            nown, nm, nb = own, mpos, bpos
-            cost = 0
-            if kind == "P":
-                e = self.eidx[mv[1]][mv[2]]
-                nown = own[:e] + bytes([mine]) + own[e + 1:]
-                if maker_turn:
-                    nm, cost = mv[2], 1
-                else:
-                    nb = mv[2]
-            elif kind == "C":
-                e = self.eidx[pos][mv[1]]
-                nown = own[:e] + bytes([mine]) + own[e + 1:]
-                if maker_turn:
-                    nm, cost = mv[1], 1
-                else:
-                    nb = mv[1]
-            elif kind == "T":
-                if maker_turn:
-                    nm, cost = mv[1], 1
-                else:
-                    nb = mv[1]
-            v = self.value(nown, nm, nb, 1 - to_move, budget - cost)
+        for mv in self._moves(own, pos, to_move, other, reduce_symmetry=True):
+            nown, nm, nb, nxt, cost = self._child(own, mpos, bpos, to_move, mv)
+            v = self.value(nown, nm, nb, nxt, budget - cost)
             total = _INF if v >= _INF else v + cost
             if maker_turn:
                 if best_move is None or total < best:
@@ -239,32 +240,10 @@ class _Solver:
             hit = self.memo.get(key)
             if hit is None or hit[1] is None:
                 break
-            mv = hit[1]
-            pv.append(_as_engine_move(mv))
-            maker_turn = to_move == _MAKER
-            mine = _OWN_MAKER if maker_turn else _OWN_BREAKER
-            pos = mpos if maker_turn else bpos
-            kind = mv[0]
-            if kind == "P":
-                e = self.eidx[mv[1]][mv[2]]
-                own = own[:e] + bytes([mine]) + own[e + 1:]
-                if maker_turn:
-                    mpos, budget = mv[2], budget - 1
-                else:
-                    bpos = mv[2]
-            elif kind == "C":
-                e = self.eidx[pos][mv[1]]
-                own = own[:e] + bytes([mine]) + own[e + 1:]
-                if maker_turn:
-                    mpos, budget = mv[1], budget - 1
-                else:
-                    bpos = mv[1]
-            elif kind == "T":
-                if maker_turn:
-                    mpos, budget = mv[1], budget - 1
-                else:
-                    bpos = mv[1]
-            to_move = 1 - to_move
+            pv.append(_as_engine_move(hit[1]))
+            own, mpos, bpos, to_move, cost = self._child(
+                own, mpos, bpos, to_move, hit[1])
+            budget -= cost
         return pv
 
 
@@ -282,18 +261,15 @@ def _internal_from_state(state: GameState) -> tuple:
     own = bytes(state.edges)
     mpos = -1 if state.maker_pos is None else state.maker_pos
     bpos = -1 if state.breaker_pos is None else state.breaker_pos
-    to_move = _MAKER if state.to_move is Player.MAKER else _BREAKER
-    return own, mpos, bpos, to_move
+    return own, mpos, bpos, state.to_move.owns
 
 
 def oracle_moves(state: GameState) -> list:
     """The solver's legal moves for an engine state, as engine Moves."""
     solver = _Solver(state.n, "connectivity", node_limit=1)
     own, mpos, bpos, to_move = _internal_from_state(state)
-    maker_turn = to_move == _MAKER
-    mine = _OWN_MAKER if maker_turn else _OWN_BREAKER
-    pos = mpos if maker_turn else bpos
-    return [_as_engine_move(m) for m in solver._moves(own, pos, mine)]
+    pos = mpos if to_move == MAKER_OWNED else bpos
+    return [_as_engine_move(m) for m in solver._moves(own, pos, to_move)]
 
 
 def solve_from_state(state: GameState, goal: str,

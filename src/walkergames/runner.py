@@ -7,7 +7,9 @@ re-derives the outcome and monitor report, and raises a named error on
 the first divergence, so a transcript is an independently checkable
 proof of play.
 
-Outcome rules, shared verbatim by the runner and the replayer:
+Outcome rules, stated once in ``deduce_outcome``: the runner calls it
+after every move and stops at the first verdict other than
+"incomplete", and the replayer calls it on the replayed final position.
 
 * a strategy assertion ends the game immediately, Breaker wins;
 * otherwise the goal predicate on the final position decides a Maker
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import (
+    GOALS,
     HAMILTON_SEARCH_LIMIT,
     Bias,
     GameState,
@@ -43,10 +46,9 @@ from .engine import (
     new_game,
 )
 from .monitors import MonitorSuite
-from .strategies import Policy, StrategyAssertionError, make_policy
+from .strategies import StrategyAssertionError, make_policy
 from .transcript import Footer, Header, MoveRecord, Transcript
 
-GOALS = ("connectivity", "hamilton")
 DEFAULT_MOVE_CAP_FACTOR = 10
 DEFAULT_N0 = 20
 
@@ -149,9 +151,11 @@ def run_game(config: GameConfig,
              policies: Optional[tuple] = None) -> GameResult:
     """Play one game to completion and return its checked result.
 
-    ``policies`` may supply a prebuilt (maker, breaker) policy pair,
-    for callers plugging in custom strategies; the header still
-    records the configured strategy ids.
+    ``policies`` may supply a prebuilt (maker, breaker) pair, for callers
+    plugging in custom strategies: any callables from state to move. A
+    Maker with a ``certificate()`` method hands over the Hamilton cycle
+    it has built through it. The header still records the configured
+    strategy ids.
     """
     if config.goal not in GOALS:
         raise ValueError(f"unknown goal {config.goal!r}; choose from "
@@ -187,48 +191,33 @@ def run_game(config: GameConfig,
     entries: list = []
     assertion: Optional[StrategyAssertionError] = None
     certificate: Optional[list] = None
-    cycle_len = bias.maker + bias.breaker
+    certificate_of = getattr(maker, "certificate", None)
 
     while True:
         player = state.to_move
-        policy: Policy = maker if player is Player.MAKER else breaker
+        policy = maker if player is Player.MAKER else breaker
         try:
             move = policy(state)
         except StrategyAssertionError as exc:
             assertion = exc
-            break
-        before = state
-        state = apply_move(state, player, move)
-        entries.append(_record_for(entries, before, player, move))
-        if config.monitors:
-            suite.observe(before, move, state)
-            if config.strict and suite.has_violations():
-                break
-        if player is Player.MAKER and move.kind is not MoveKind.PASS:
-            if config.goal == "connectivity" and connectivity_won(state):
-                break
-            if config.goal == "hamilton":
-                if config.maker == "hamilton":
-                    mem = maker.memory
-                    if mem.stage == 4 and mem.cycle_order:
-                        certificate = list(mem.cycle_order)
-                        if not hamilton_won(state, certificate):
-                            raise RuntimeError(
-                                "internal error: constructed cycle failed "
-                                "certificate validation")
-                        break
-                elif (state.n <= HAMILTON_SEARCH_LIMIT
-                        and hamilton_won(state)):
-                    break
-        if state.maker_moves >= move_cap:
-            break
-        if _trailing_pass_cycle(entries, cycle_len):
+        else:
+            before = state
+            state = apply_move(state, player, move)
+            entries.append(_record_for(entries, before, player, move))
+            if config.monitors:
+                suite.observe(before, move, state)
+            if certificate_of is not None:
+                certificate = certificate_of()
+        winner, reason = deduce_outcome(
+            header, state, certificate, assertion is not None,
+            config.monitors and suite.has_violations(), entries)
+        if certificate is not None and reason != "goal":
+            raise RuntimeError(
+                "internal error: constructed cycle failed certificate "
+                "validation")
+        if reason != "incomplete":
             break
 
-    monitor_violation = config.monitors and suite.has_violations()
-    winner, reason = deduce_outcome(header, state, certificate,
-                                    assertion is not None,
-                                    monitor_violation, entries)
     footer = Footer(
         winner=winner,
         reason=reason,

@@ -45,11 +45,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .engine import (
-    Bias,
+    BREAKER_OWNED,
+    FREE,
+    MAKER_OWNED,
     GameState,
     Move,
     MoveKind,
-    Ownership,
     Player,
     degree_b,
     legal_moves,
@@ -277,35 +278,41 @@ def connectivity_maker_move(state: GameState, mem: StrategyMemory) -> Move:
 
 def find_free_triple(state: GameState, cycle: Sequence[int],
                      forbidden_targets: frozenset,
-                     avoid: frozenset = frozenset()) -> tuple:
+                     avoid: frozenset = frozenset(),
+                     entry: Optional[int] = None) -> tuple:
     """First three consecutive cycle vertices clean of opponent edges
     toward ``forbidden_targets``.
 
     Scans triples by cycle position from the cycle's first vertex.
     Triples containing a forbidden or avoided vertex are skipped, as is
     any triple with a vertex of opponent degree at least n/3 (a single
-    such hub cannot rule out every clean triple). Raises when the scan
-    finds nothing, which contradicts the pigeonhole count.
+    such hub cannot rule out every clean triple).
+
+    ``entry`` is the vertex the splice claims the triple's middle from.
+    The first scan treats it as one more forbidden target. When that
+    finds nothing (an opponent hub at ``entry`` taints every triple), a
+    rescan keeps ``entry`` out of the triple and checks only its edge to
+    the middle, the one edge the splice uses from it. Raises when no
+    scan finds a triple, which contradicts the pigeonhole count.
     """
-    n = state.n
     size = len(cycle)
-    hub = n / 3
-    for i in range(size):
-        triple = (cycle[i], cycle[(i + 1) % size], cycle[(i + 2) % size])
-        if any(t in forbidden_targets or t in avoid for t in triple):
-            continue
-        if any(state.deg_b[t] >= hub for t in triple):
-            continue
-        clean = True
-        for t in triple:
-            for f in forbidden_targets:
-                if f != t and state.owner(t, f) == Ownership.BREAKER:
-                    clean = False
-                    break
-            if not clean:
-                break
-        if clean:
-            return triple
+    hub = state.n / 3
+    scans = [(forbidden_targets, avoid, None)]
+    if entry is not None:
+        scans = [(forbidden_targets | {entry}, avoid, None),
+                 (forbidden_targets, avoid | {entry}, entry)]
+    for forbidden, skip, splice_from in scans:
+        for i in range(size):
+            triple = (cycle[i], cycle[(i + 1) % size], cycle[(i + 2) % size])
+            if any(t in forbidden or t in skip or state.deg_b[t] >= hub
+                   for t in triple):
+                continue
+            if (splice_from is not None
+                    and state.owner(triple[1], splice_from) == BREAKER_OWNED):
+                continue
+            if all(state.owner(t, f) != BREAKER_OWNED
+                   for t in triple for f in forbidden):
+                return triple
     raise StrategyAssertionError(
         state.round,
         "expected three consecutive cycle vertices with no opponent edges "
@@ -347,7 +354,7 @@ def _ladder_move(state: GameState, mem: StrategyMemory) -> Move:
         if not tail:
             cands = [u for u in sorted(unvisited)
                      if state.is_free(pos, u)
-                     and state.owner(v1, u) != Ownership.BREAKER]
+                     and state.owner(v1, u) != BREAKER_OWNED]
             if not cands:
                 raise StrategyAssertionError(
                     state.round,
@@ -364,7 +371,7 @@ def _ladder_move(state: GameState, mem: StrategyMemory) -> Move:
                     snapshot(state))
         pick = min(
             cands,
-            key=lambda u: (0 if state.owner(v1, u) != Ownership.BREAKER else 1,
+            key=lambda u: (0 if state.owner(v1, u) != BREAKER_OWNED else 1,
                            0 if u != state.breaker_pos else 1,
                            u))
         tail.append(pick)
@@ -410,11 +417,11 @@ def _absorb_move(state: GameState, mem: StrategyMemory) -> Move:
                 return Move.traverse(dest)
         avoid = frozenset() if state.breaker_pos is None else frozenset({state.breaker_pos})
         triple = find_free_triple(
-            state, cycle, frozenset(unvisited) | {pos}, avoid=avoid)
+            state, cycle, frozenset(unvisited), avoid=avoid, entry=pos)
         named["triple"] = triple
         named["phase"] = "chorded"
         middle = triple[1]
-        if state.owner(pos, middle) == Ownership.MAKER:
+        if state.owner(pos, middle) == MAKER_OWNED:
             return Move.traverse(middle)
         return Move.claim(middle)
 
@@ -429,7 +436,7 @@ def _absorb_move(state: GameState, mem: StrategyMemory) -> Move:
                 snapshot(state))
         pick = min(
             cands,
-            key=lambda u: (0 if all(state.owner(u, t) != Ownership.BREAKER
+            key=lambda u: (0 if all(state.owner(u, t) != BREAKER_OWNED
                                     for t in triple) else 1,
                            u))
         named["grabbed"] = pick
@@ -503,11 +510,11 @@ def greedy_breaker_move(state: GameState) -> Move:
         if t == pos:
             continue
         o = state.owner(pos, t)
-        if o == Ownership.FREE:
+        if o == FREE:
             key = (0 if t in unvisited else 1, -state.deg_b[t], t)
             if best is None or key < best[0]:
                 best = (key, t)
-        elif o == Ownership.BREAKER and traverse is None:
+        elif o == BREAKER_OWNED and traverse is None:
             traverse = t
     if best is not None:
         return Move.claim(best[1])
@@ -553,7 +560,7 @@ def delaying_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
             if state.is_free(pos, u):
                 return Move.claim(u)
         for u in pair:
-            if state.owner(pos, u) == Ownership.BREAKER:
+            if state.owner(pos, u) == BREAKER_OWNED:
                 return Move.traverse(u)
         mem.notes.append("delay: could not reach either surviving vertex")
         return wander()
@@ -598,9 +605,9 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
 
     if pos != z:
         o = state.owner(pos, z)
-        if o == Ownership.BREAKER:
+        if o == BREAKER_OWNED:
             return Move.traverse(z)
-        if o == Ownership.FREE:
+        if o == FREE:
             return Move.claim(z)
         mem.notes.append("fence: home edge lost, protected vertex was reached")
         return legal_moves(state, Player.BREAKER)[0]
@@ -613,7 +620,7 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
     for v in range(state.n):
         if v == z or not state.is_free(z, v):
             continue
-        reach_by_walk = mpos is not None and state.owner(v, mpos) == Ownership.MAKER
+        reach_by_walk = mpos is not None and state.owner(v, mpos) == MAKER_OWNED
         reach_by_claim = mpos is not None and state.is_free(v, mpos)
         key = (0 if reach_by_walk else 1, 0 if reach_by_claim else 1, v)
         if best is None or key < best[0]:
@@ -621,7 +628,7 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
     if best is not None:
         return Move.claim(best[1])
     for v in range(state.n):
-        if v != z and state.owner(z, v) == Ownership.BREAKER:
+        if v != z and state.owner(z, v) == BREAKER_OWNED:
             return Move.traverse(v)
     return Move.pass_()
 
@@ -652,10 +659,10 @@ def camper_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
             if t != camp and state.is_free(camp, t):
                 return Move.claim(t)
         for t in range(state.n):
-            if t != camp and state.owner(camp, t) == Ownership.BREAKER:
+            if t != camp and state.owner(camp, t) == BREAKER_OWNED:
                 return Move.traverse(t)
         return Move.pass_()
-    if state.owner(pos, camp) == Ownership.BREAKER:
+    if state.owner(pos, camp) == BREAKER_OWNED:
         return Move.traverse(camp)
     if state.is_free(pos, camp):
         return Move.claim(camp)
@@ -750,6 +757,14 @@ class Policy:
 
     def __call__(self, state: GameState) -> Move:
         return self._fn(state, self.memory)
+
+    def certificate(self) -> Optional[list]:
+        """The Hamilton cycle this policy has finished, as a cyclic
+        vertex order, or None while it has none."""
+        mem = self.memory
+        if mem.stage == 4 and mem.cycle_order:
+            return list(mem.cycle_order)
+        return None
 
 
 def _rng_seed_for(player: Player, seed: int) -> int:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import random
 
 from walkergames.engine import (
+    BREAKER_OWNED,
+    FREE,
+    MAKER_OWNED,
     Bias,
     GameState,
     Move,
-    Ownership,
     Player,
     apply_move,
     connectivity_won,
@@ -73,7 +75,7 @@ def brute_force_value(state: GameState, goal: str, budget: int,
 def relabel_state(state: GameState, perm) -> GameState:
     """The same position with vertices renamed by ``perm``."""
     n = state.n
-    edges = [Ownership.FREE] * edge_count(n)
+    edges = [FREE] * edge_count(n)
     for a in range(n):
         for b in range(a + 1, n):
             edges[edge_index(n, perm[a], perm[b])] = state.edges[edge_index(n, a, b)]
@@ -122,17 +124,17 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
     """
     maker_edges = [tuple(sorted(e)) for e in maker_edges]
     breaker_edges = [tuple(sorted(e)) for e in breaker_edges]
-    edges = [Ownership.FREE] * edge_count(n)
+    edges = [FREE] * edge_count(n)
     deg_m = [0] * n
     deg_b = [0] * n
     for a, b in maker_edges:
-        edges[edge_index(n, a, b)] = Ownership.MAKER
+        edges[edge_index(n, a, b)] = MAKER_OWNED
         deg_m[a] += 1
         deg_m[b] += 1
     for a, b in breaker_edges:
-        if edges[edge_index(n, a, b)] != Ownership.FREE:
+        if edges[edge_index(n, a, b)] != FREE:
             raise ValueError(f"edge {a}-{b} assigned twice")
-        edges[edge_index(n, a, b)] = Ownership.BREAKER
+        edges[edge_index(n, a, b)] = BREAKER_OWNED
         deg_b[a] += 1
         deg_b[b] += 1
     touched = {v for e in maker_edges for v in e}

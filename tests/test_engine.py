@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import all_candidate_moves, random_playout_states
 from walkergames.engine import (
+    BREAKER_OWNED,
+    FREE,
     Bias,
     IllegalMoveError,
     MalformedCertificateError,
     Move,
     MoveKind,
-    Ownership,
     Player,
     apply_move,
     connectivity_won,
@@ -80,9 +81,9 @@ class TestLegalMoves:
         # edge the opponent's and no own edge anywhere.
         from walkergames.engine import GameState, edge_count
         n = 3
-        edges = [int(Ownership.FREE)] * edge_count(n)
-        edges[edge_index(n, 0, 1)] = int(Ownership.BREAKER)
-        edges[edge_index(n, 0, 2)] = int(Ownership.BREAKER)
+        edges = [FREE] * edge_count(n)
+        edges[edge_index(n, 0, 1)] = BREAKER_OWNED
+        edges[edge_index(n, 0, 2)] = BREAKER_OWNED
         state = GameState(
             n=n, bias=Bias(1, 1), first_player=Player.BREAKER,
             edges=edges, maker_pos=0, breaker_pos=2,
@@ -116,7 +117,7 @@ class TestApplyMove:
     def test_placement_sets_position_and_ownership(self):
         state = _play(new_game(5), Move.place(3, 1))
         assert state.breaker_pos == 1
-        assert state.owner(1, 3) == Ownership.BREAKER
+        assert state.owner(1, 3) == BREAKER_OWNED
         assert state.to_move is Player.MAKER
 
     def test_traverse_changes_no_ownership(self):

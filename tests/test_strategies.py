@@ -6,12 +6,13 @@ import pytest
 from conftest import build_state
 
 from walkergames.engine import (
+    BREAKER_OWNED,
+    MAKER_OWNED,
     Bias,
     GameState,
     IllegalMoveError,
     Move,
     MoveKind,
-    Ownership,
     Player,
     apply_move,
     connectivity_won,
@@ -19,6 +20,7 @@ from walkergames.engine import (
     new_game,
 )
 from walkergames.monitors import maker_edges_form_simple_path
+from walkergames.runner import GameConfig, replay_transcript, run_game
 from walkergames.strategies import (
     BREAKER_IDS,
     MAKER_IDS,
@@ -345,7 +347,18 @@ class TestFindFreeTriple:
             for t in triple:
                 assert t not in forbidden
                 for f in forbidden:
-                    assert state.owner(t, f) != Ownership.BREAKER
+                    assert state.owner(t, f) != BREAKER_OWNED
+
+    def test_entry_hub_falls_back_to_a_clear_middle(self):
+        # Opponent edges from the entry vertex 1 touch every triple, so
+        # the first scan fails. The rescan needs only the middle's edge
+        # to 1 clear: (3, 4, 5) has it, (2, 3, 4) does not.
+        cycle = list(range(1, 13))
+        hub = [(1, v) for v in (3, 5, 7, 9, 11)]
+        state = self._ring_state(14, cycle, hub)
+        with pytest.raises(StrategyAssertionError):
+            find_free_triple(state, cycle, frozenset({0, 1}))
+        assert find_free_triple(state, cycle, frozenset({0}), entry=1) == (3, 4, 5)
 
 
 class TestHamiltonStages:
@@ -427,6 +440,17 @@ class TestHamiltonStages:
         done = build_state(10, maker_edges=ring + [(1, 3), (3, 0), (0, 2)],
                            maker_pos=2, breaker_pos=5)
         assert hamilton_won(done, [2, 0, 3, 4, 5, 6, 7, 8, 9, 1])
+
+
+    def test_breaker_hub_at_the_maker_position_does_not_stop_absorption(self):
+        # This seed once raised the pigeonhole assertion: the random
+        # Breaker's edges at the Maker's position tainted every triple.
+        result = run_game(GameConfig(n=20, maker="hamilton", goal="hamilton",
+                                     breaker="random", seed=1635666842))
+        assert result.assertion is None
+        assert (result.winner, result.reason) == ("maker", "goal")
+        assert result.maker_move_count <= 20 + 6
+        replay_transcript(result.transcript)
 
 
 class TestDelayingBreaker:
@@ -699,7 +723,7 @@ class TestPolicyLegality:
             if mover is Player.MAKER and cyc:
                 for i, v in enumerate(cyc):
                     w = cyc[(i + 1) % len(cyc)]
-                    assert state.owner(v, w) == Ownership.MAKER
+                    assert state.owner(v, w) == MAKER_OWNED
             if maker.memory.stage == 4:
                 break
         assert maker.memory.stage == 4

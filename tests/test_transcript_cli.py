@@ -146,6 +146,24 @@ class TestReplay:
         assert summary["reason"] == result.reason
         assert summary["entries"] == len(result.transcript.entries)
 
+    def test_plain_callable_policies_play_to_a_verdict(self):
+        # A bare function is a valid policy. Under maker id "hamilton"
+        # it offers no certificate, so the runner never sees a cycle.
+        hamilton = make_policy(Player.MAKER, "hamilton", 0)
+        greedy = make_policy(Player.BREAKER, "greedy", 0)
+
+        def plain_callable(state):
+            return hamilton(state)
+
+        config = GameConfig(n=8, maker="hamilton", goal="hamilton",
+                            breaker="greedy")
+        result = run_game(config, policies=(plain_callable, greedy))
+        assert result.reason != "incomplete"
+        assert result.certificate is None
+        summary = replay_transcript(parse_transcript(result.transcript.dumps()))
+        assert (summary["winner"], summary["reason"]) == (result.winner,
+                                                           result.reason)
+
     def _tampered(self, lineno_fn, fn):
         result = _game(seed=9)
         text = result.transcript.dumps()
