@@ -16,11 +16,12 @@ Conventions
 -----------
 * Vertices are integers 0..n-1. Edges are unordered pairs stored in
   canonical (low, high) form and indexed into a flat triangular array.
-* Each slot of that array holds one int edge code: ``FREE``,
-  ``MAKER_OWNED`` or ``BREAKER_OWNED``. ``Player.owns`` maps a player
-  to the code of the edges it claims.
+* That array is a ``bytearray``; each byte holds one edge code:
+  ``FREE``, ``MAKER_OWNED`` or ``BREAKER_OWNED``. ``Player.owns`` maps
+  a player to the code of the edges it claims.
 * ``GameState`` is treated as immutable: ``apply_move`` returns a new
-  state and never mutates its input.
+  state and never mutates its input. It copies the edge array, n(n-1)/2
+  bytes, for every move; nothing is updated in place or undone.
 * ``round`` counts completed (first player, second player) pairs;
   Maker moves are tallied separately because the win bounds are stated
   in Maker moves.
@@ -125,7 +126,7 @@ class GameState:
     n: int
     bias: Bias
     first_player: Player
-    edges: list  # flat list of edge codes, length n(n-1)/2
+    edges: bytearray  # one edge code per byte, length n(n-1)/2
     maker_pos: Optional[int]
     breaker_pos: Optional[int]
     unvisited: set          # vertices incident to no Maker edge
@@ -163,7 +164,7 @@ def new_game(n: int, bias: Bias = Bias(1, 1),
         n=n,
         bias=bias,
         first_player=first_player,
-        edges=[0] * edge_count(n),
+        edges=bytearray(edge_count(n)),
         maker_pos=None,
         breaker_pos=None,
         unvisited=set(range(n)),
@@ -268,7 +269,7 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
             claimed = (min(origin, move.target), max(origin, move.target))
         new_pos = move.target
 
-    edges = list(state.edges)
+    edges = bytearray(state.edges)
     unvisited = state.unvisited
     breaker_touched = state.breaker_touched
     deg_m = state.deg_m
@@ -349,15 +350,20 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
 # ---------------------------------------------------------------------------
 
 def degree_b(state: GameState, x: int, restrict: Optional[Iterable[int]] = None) -> int:
-    """Breaker degree of x, optionally counting only neighbours in ``restrict``."""
-    if restrict is None:
-        return state.deg_b[x]
+    """Breaker degree of x, optionally counting only neighbours in ``restrict``
+    (distinct vertices)."""
+    full = state.deg_b[x]
+    if restrict is None or full == 0:
+        return full
     n = state.n
     edges = state.edges
-    return sum(
-        1 for t in restrict
-        if t != x and edges[edge_index(n, x, t)] == BREAKER_OWNED
-    )
+    count = 0
+    for t in restrict:
+        if t != x and edges[edge_index(n, x, t)] == BREAKER_OWNED:
+            count += 1
+            if count == full:  # no Breaker edge of x is left to find
+                break
+    return count
 
 
 def degree_m(state: GameState, x: int, restrict: Optional[Iterable[int]] = None) -> int:

@@ -31,7 +31,11 @@ Checks
   within her first n-3 moves has Breaker degree at most six at that
   moment.
 * ``path_shape``: through the Maker's first n-3 moves her claimed
-  edges form a simple path with exactly one edge per move.
+  edges form a simple path with exactly one edge per move. The suite
+  checks this incrementally: it keeps the ends and the vertex set of
+  the path seen so far and accepts, in constant time, a claim from one
+  end to a new vertex. Any other claim falls back to the full
+  ``maker_edges_form_simple_path``, so the verdict is the same.
 """
 from __future__ import annotations
 
@@ -168,6 +172,11 @@ class MonitorSuite:
         self._index = -1
         self._prev_round_breaker_end: Optional[int] = None
         self._pursuit_limit = pursuit_move_limit(maker_id, n)
+        # The first _path_len Maker edges: a simple path with these ends
+        # through these vertices.
+        self._path_len = 0
+        self._path_ends: set = set()
+        self._path_vertices: set = set()
 
     # -- event handling ----------------------------------------------------
 
@@ -216,11 +225,33 @@ class MonitorSuite:
                 round_1b,
                 f"move {after.maker_moves} left {len(after.maker_edges)} "
                 "claimed edges, not one per move")
-        elif not maker_edges_form_simple_path(after):
+        elif not self._still_simple_path(after):
             stats.violate(
                 round_1b,
                 f"claimed edges after move {after.maker_moves} do not form "
                 "a simple path")
+
+    def _still_simple_path(self, after: GameState) -> bool:
+        """``maker_edges_form_simple_path(after)``, in constant time when
+        the last claim extends the tracked path from one end to a new
+        vertex."""
+        edges = after.maker_edges
+        if len(edges) == self._path_len + 1:
+            a, b = edges[-1]
+            ends, seen = self._path_ends, self._path_vertices
+            if b in ends and a not in seen:
+                a, b = b, a  # a is the end the claim leaves
+            if not seen:
+                ends.update((a, b))
+            elif a in ends and b not in seen:
+                ends.remove(a)
+                ends.add(b)
+            else:
+                return maker_edges_form_simple_path(after)
+            seen.update((a, b))
+            self._path_len += 1
+            return True
+        return maker_edges_form_simple_path(after)
 
     def _prereply_check(self, before: GameState, after: GameState):
         stats = self.checks["prereply_unvisited_degree"]

@@ -23,6 +23,16 @@ def canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _int_field(value, what: str, nullable: bool = False) -> Optional[int]:
+    """``value`` when it is an int (not a bool), or None where allowed."""
+    if value is None and nullable:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        kind = "an integer or null" if nullable else "an integer"
+        raise TranscriptFormatError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class Header:
     n: int
@@ -56,16 +66,20 @@ class Header:
 
     @staticmethod
     def from_json(obj: dict) -> "Header":
+        bias = obj["bias"]
+        if not isinstance(bias, list) or len(bias) != 2:
+            raise TranscriptFormatError(
+                f"header bias must be a pair of integers, got {bias!r}")
         return Header(
-            n=obj["n"],
-            bias=tuple(obj["bias"]),
+            n=_int_field(obj["n"], "header n"),
+            bias=tuple(_int_field(b, "header bias entry") for b in bias),
             first_player=obj["first_player"],
             maker=obj["maker"],
             breaker=obj["breaker"],
             goal=obj["goal"],
-            seed=obj["seed"],
-            move_cap=obj["move_cap"],
-            n0=obj["n0"],
+            seed=_int_field(obj["seed"], "header seed"),
+            move_cap=_int_field(obj["move_cap"], "header move_cap"),
+            n0=_int_field(obj["n0"], "header n0"),
             monitors=obj["monitors"],
             strict=obj["strict"],
         )
@@ -94,12 +108,12 @@ class MoveRecord:
     @staticmethod
     def from_json(obj: dict) -> "MoveRecord":
         return MoveRecord(
-            index=obj["index"],
-            round=obj["round"],
+            index=_int_field(obj["index"], "move index"),
+            round=_int_field(obj["round"], "move round"),
             player=obj["player"],
             kind=obj["kind"],
-            from_vertex=obj["from"],
-            to_vertex=obj["to"],
+            from_vertex=_int_field(obj["from"], "move from", nullable=True),
+            to_vertex=_int_field(obj["to"], "move to", nullable=True),
         )
 
 
@@ -196,6 +210,8 @@ def parse_transcript(text: str) -> Transcript:
             except KeyError as exc:
                 raise TranscriptFormatError(
                     f"line {lineno}: move record missing field {exc}") from exc
+            except TranscriptFormatError as exc:
+                raise TranscriptFormatError(f"line {lineno}: {exc}") from exc
         elif record == "footer":
             if footer is not None:
                 raise TranscriptFormatError(f"line {lineno}: duplicate footer")

@@ -75,7 +75,7 @@ def brute_force_value(state: GameState, goal: str, budget: int,
 def relabel_state(state: GameState, perm) -> GameState:
     """The same position with vertices renamed by ``perm``."""
     n = state.n
-    edges = [FREE] * edge_count(n)
+    edges = bytearray(edge_count(n))
     for a in range(n):
         for b in range(a + 1, n):
             edges[edge_index(n, perm[a], perm[b])] = state.edges[edge_index(n, a, b)]
@@ -124,7 +124,7 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
     """
     maker_edges = [tuple(sorted(e)) for e in maker_edges]
     breaker_edges = [tuple(sorted(e)) for e in breaker_edges]
-    edges = [FREE] * edge_count(n)
+    edges = bytearray(edge_count(n))
     deg_m = [0] * n
     deg_b = [0] * n
     for a, b in maker_edges:

@@ -13,6 +13,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import walkergames
 from walkergames.engine import Player
 from walkergames.runner import GameConfig, run_game
@@ -51,6 +53,23 @@ def test_golden_sweep_transcripts_match_frozen_digests():
     changed = [label for label, digest in frozen.items()
                if _sha(run_game(_config(label)).transcript.dumps()) != digest]
     assert changed == []
+
+
+# The n=200 seed-0 games of the two ``big_board`` pairs: the golden
+# corpus stops at n=100, and the edge store matters most on big boards.
+BIG_BOARD_N200 = {
+    ("connectivity", "connectivity", "greedy"):
+        "a24ca35a59d4646efc1a437c886e46dae0accc70ef4fd180a219ea8bb6aad392",
+    ("hamilton", "hamilton", "camper"):
+        "688c38166a61c70ed3fad389378a129c75982279dfec8ca295e29df533f49e5c",
+}
+
+
+@pytest.mark.parametrize("maker,goal,breaker", sorted(BIG_BOARD_N200))
+def test_big_board_pairs_at_n200_match_frozen_digests(maker, goal, breaker):
+    config = GameConfig(n=200, maker=maker, goal=goal, breaker=breaker, seed=0)
+    digest = _sha(run_game(config).transcript.dumps())
+    assert digest == BIG_BOARD_N200[(maker, goal, breaker)]
 
 
 def test_traced_game_writes_the_untraced_bytes():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import all_candidate_moves, random_playout_states
 from walkergames.engine import (
     BREAKER_OWNED,
-    FREE,
     Bias,
     IllegalMoveError,
     MalformedCertificateError,
@@ -81,7 +80,7 @@ class TestLegalMoves:
         # edge the opponent's and no own edge anywhere.
         from walkergames.engine import GameState, edge_count
         n = 3
-        edges = [FREE] * edge_count(n)
+        edges = bytearray(edge_count(n))
         edges[edge_index(n, 0, 1)] = BREAKER_OWNED
         edges[edge_index(n, 0, 2)] = BREAKER_OWNED
         state = GameState(
@@ -122,7 +121,7 @@ class TestApplyMove:
 
     def test_traverse_changes_no_ownership(self):
         state = _play(new_game(4), Move.place(0, 1), Move.place(2, 3))
-        before_edges = list(state.edges)
+        before_edges = bytes(state.edges)
         state = _play(state, Move.traverse(0))  # breaker walks 1 -> 0
         assert state.edges == before_edges
         assert state.breaker_pos == 0
@@ -205,6 +204,19 @@ class TestDegrees:
     def test_restrict_excludes_self(self):
         state = _play(new_game(4), Move.place(0, 1))
         assert degree_b(state, 0, {0, 1}) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 9),
+           steps=st.integers(0, 40), x=st.integers(0, 8),
+           mask=st.integers(0, 2 ** 9 - 1))
+    def test_restricted_degree_matches_brute_force(self, seed, n, steps, x,
+                                                   mask):
+        *_, state = random_playout_states(n, seed, steps)
+        x %= n
+        restrict = {t for t in range(n) if mask >> t & 1}
+        expected = sum(1 for t in restrict
+                       if t != x and state.owner(x, t) == BREAKER_OWNED)
+        assert degree_b(state, x, restrict) == expected
 
 
 class TestGoals:

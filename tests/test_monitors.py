@@ -6,9 +6,11 @@ import pytest
 
 from conftest import build_state, traversing_deviant_maker
 
+from walkergames import monitors
 from walkergames.engine import (
     Bias,
     Move,
+    MoveKind,
     Player,
     apply_move,
     new_game,
@@ -16,6 +18,7 @@ from walkergames.engine import (
 from walkergames.monitors import (
     CHECK_NAMES,
     FIRST_VISIT_DEGREE_LIMIT,
+    CheckStats,
     MonitorSuite,
     breaker_edges_all_touch_maker,
     maker_edges_form_simple_path,
@@ -272,6 +275,70 @@ class TestGatingInstants:
         assert suite.checks["first_visit_degree"].skipped == 1
         assert suite.checks["path_shape"].skipped == 1
 
+
+
+class TestIncrementalPathShape:
+    """``path_shape`` keeps the Maker's path incrementally; its verdicts
+    must be those of the full predicate on every evaluated move."""
+
+    def _count_fallbacks(self, monkeypatch) -> list:
+        calls = []
+
+        def counted(state):
+            calls.append(state.maker_moves)
+            return maker_edges_form_simple_path(state)
+        monkeypatch.setattr(monitors, "maker_edges_form_simple_path", counted)
+        return calls
+
+    def test_matches_full_predicate_in_random_play(self, monkeypatch):
+        fallbacks = self._count_fallbacks(monkeypatch)
+        n = 20
+        window = n - 3
+        traversals = shape_breaks = 0
+        for seed in range(30):
+            # Armed on the Maker id alone; the moves come from random play.
+            suite = _suite(n=n, maker="chase")
+            reference = CheckStats()
+            maker = make_policy(Player.MAKER, "random", seed)
+            breaker = make_policy(Player.BREAKER, "random", seed)
+            state = new_game(n, Bias(1, 1), Player.BREAKER)
+            while state.maker_moves < window + 2:
+                player = state.to_move
+                move = (maker if player is Player.MAKER else breaker)(state)
+                after = apply_move(state, player, move)
+                suite.observe(state, move, after)
+                maker_moved = (player is Player.MAKER
+                               and move.kind is not MoveKind.PASS)
+                if maker_moved and after.maker_moves > window:
+                    reference.miss()
+                elif maker_moved:
+                    reference.hit()
+                    traversals += move.kind is MoveKind.TRAVERSE
+                    if len(after.maker_edges) != after.maker_moves:
+                        reference.violate(state.round + 1, "count")
+                    elif not maker_edges_form_simple_path(after):
+                        shape_breaks += 1
+                        reference.violate(state.round + 1, "shape")
+                state = after
+            got = suite.checks["path_shape"]
+            assert ((got.evaluated, got.skipped, got.violations,
+                     got.first_violation_round)
+                    == (reference.evaluated, reference.skipped,
+                        reference.violations, reference.first_violation_round))
+        # The sample must reach the moves the constant-time check does
+        # not accept: traversals, which break one edge per move, and
+        # claims that branch or close the path, which the full
+        # predicate decides.
+        assert traversals > 0
+        assert shape_breaks > 0
+        assert len(fallbacks) >= shape_breaks
+
+    def test_honest_pursuit_never_falls_back(self, monkeypatch):
+        fallbacks = self._count_fallbacks(monkeypatch)
+        result = run_game(GameConfig(n=24, maker="connectivity",
+                                     breaker="greedy", seed=3))
+        assert result.monitor_report["checks"]["path_shape"]["evaluated"] > 0
+        assert fallbacks == []
 
 
 class TestRunnerIntegration:

@@ -432,6 +432,27 @@ class TestExitCodes:
         assert code == 4
         assert "error[footer-mismatch]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,field,value", [
+        (0, "n", "6"),
+        (0, "bias", "11"),
+        (0, "move_cap", "x"),
+        (1, "index", False),
+        (1, "round", "0"),
+        (1, "to", 3.0),
+        (1, "to", "3"),
+    ])
+    def test_mistyped_transcript_field_exits_4(self, tmp_path, capsys, line,
+                                               field, value):
+        text = _game(n=6, seed=1).transcript.dumps()
+        path = tmp_path / "mistyped.jsonl"
+        path.write_text(_mutate_line(text, line,
+                                     lambda o: o.update({field: value})))
+        code = cli.main(["replay", str(path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error[transcript-format]" in err
+        assert f" {field} must be" in err
+
     def test_solver_node_limit_exits_4(self, capsys):
         code = cli.main(["solve", "--n", "4", "--node-limit", "50"])
         assert code == 4
