@@ -14,7 +14,8 @@ Exit status contract, used by all subcommands:
 * 1: a game finished outside its move bound (or the guaranteed side
      lost) while no stronger failure occurred.
 * 2: an armed invariant monitor recorded a violation.
-* 3: a strategy assertion fired (an internal guarantee broke).
+* 3: a strategy assertion fired or an unexpected exception escaped
+     (an internal guarantee broke).
 * 4: usage, script, transcript format, replay divergence, solver
      limits, or I/O problems.
 
@@ -28,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional
 
 from .engine import GOALS, Player
@@ -310,7 +312,8 @@ def _cmd_solve(args) -> int:
                else "breaker prevents the goal")
         print(f"n={result.n} goal={result.goal} first={result.first_player} "
               f"cap={result.move_cap}: {win}")
-        print(f"nodes={result.nodes} cross_validated={checked}")
+        print(f"nodes={result.nodes} memo={result.memo} "
+              f"cross_validated={checked}")
         if result.pv:
             print("line: " + " ".join(str(m) for m in result.pv))
     if not checked:
@@ -427,6 +430,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"error[internal-assertion]: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
+    except Exception as exc:  # a defect, not a bound breach: never exit 1
+        print(f"error[internal]: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        traceback.print_exc()
         return EXIT_ASSERTION
 
 

@@ -5,16 +5,40 @@ per turn, the optimal number of Maker moves to reach the goal within a
 move cap, or the fact that the opponent prevents it. The Maker
 minimizes her number of non-pass moves; the Breaker maximizes it.
 
-The search is a finite-horizon minimax: positions are memoized
-together with the remaining Maker-move budget, and a position with no
-budget left scores as prevention. Exceeding the cap counting as a
-Breaker win is sound because a walker game that drags on repeats
-positions, and repetition gains the Maker nothing. Keying values by
-(position, budget) keeps them independent of how the search reached a
-node, so the memo is exact. The only play that never consumes budget
-is an all-pass standoff (possible solely while a player has no edges
-and no free edge exists); a repetition guard scores those lines as
-prevention directly.
+A position is (maker mask, breaker mask, Maker position, Breaker
+position, side to move): the two players' edges as int bitmasks over
+the n(n-1)/2 edges (at most ten), the positions -1 before placement.
+The search is a finite-horizon minimax over the remaining Maker-move
+budget, and a position with no budget left scores as prevention.
+Exceeding the cap counting as a Breaker win is sound because a walker
+game that drags on repeats positions, and repetition gains the Maker
+nothing.
+
+Each position is solved once:
+
+* *Goal tables.* ``won`` and ``dead`` are tables over all edge masks,
+  built with the solver. ``dead`` proves permanent prevention from the
+  Breaker's edges alone (for connectivity they cover every edge at some
+  vertex, for the Hamilton game every Hamilton cycle meets one of
+  them); a dead position scores as prevention at any budget.
+* *Memo without the budget.* The least number of moves v within which
+  the Maker forces the goal does not depend on the budget b, as long
+  as v <= b; below v the answer is prevention. So the memo holds
+  either that exact v, which answers every budget, or a lower bound
+  "prevented within b", which answers every budget up to b; a larger
+  budget searches the position again. Once a Maker move is found, later
+  moves are searched only within the budget that would beat it.
+* *Canonical keys.* Positions equal up to renaming vertices have equal
+  values. The memo key renames the Maker's position to 0 and the
+  Breaker's to the next label, then takes the least key over the
+  orders of the other vertices. The search runs in that canonical
+  frame, and stored moves are mapped back when the principal variation
+  is read off.
+
+The only line that never consumes budget is one in which every Maker
+move is a pass, which she plays only when stuck for good; a repetition
+guard keyed by position and budget scores those standoffs as
+prevention.
 
 The optimal move stored with each value yields a principal variation
 that ``cross_validate`` replays through the real engine, move by legal
@@ -35,7 +59,6 @@ from typing import Optional
 
 from .engine import (
     BREAKER_OWNED,
-    FREE,
     GOALS,
     MAKER_OWNED,
     Bias,
@@ -45,6 +68,7 @@ from .engine import (
     Player,
     apply_move,
     connectivity_won,
+    edge_count,
     edge_index,
     hamilton_won,
     new_game,
@@ -67,6 +91,7 @@ class SolveResult:
     outcome: str                        # "maker" | "breaker"
     maker_moves_to_win: Optional[int]   # None when the goal is prevented
     nodes: int
+    memo: int                           # positions held in the memo
     pv: tuple                           # principal variation, engine Moves
 
     def to_json(self) -> dict:
@@ -78,27 +103,89 @@ class SolveResult:
             "outcome": self.outcome,
             "maker_moves_to_win": self.maker_moves_to_win,
             "nodes": self.nodes,
+            "memo": self.memo,
             "pv": [str(m) for m in self.pv],
         }
 
 
-def _hamilton_cycle_masks(n: int, eidx) -> tuple:
-    masks = []
+def _bit_rows(n: int) -> list:
+    """bit[a][b]: the one-bit mask of edge {a, b}; 0 when a == b."""
+    return [[0 if a == b else 1 << edge_index(n, a, b) for b in range(n)]
+            for a in range(n)]
+
+
+def _moves(bit: list, free: int, mine: int, pos: int) -> list:
+    """Legal moves in engine order for the walker at ``pos`` (-1 before
+    placement) owning the edges in ``mine``."""
+    n = len(bit)
+    if pos < 0:
+        return [("P", s, t) for s in range(n) for t in range(n)
+                if bit[s][t] & free]
+    row = bit[pos]
+    out = [("C", t) for t in range(n) if row[t] & free]
+    out += [("T", t) for t in range(n) if row[t] & mine]
+    return out or [("X",)]
+
+
+def _child(bit: list, mm: int, bm: int, mpos: int, bpos: int,
+           maker_turn: int, mv: tuple) -> tuple:
+    """(mm, bm, mpos, bpos, cost) after the side to move plays ``mv``;
+    cost is 1 for a non-pass Maker move, else 0."""
+    kind = mv[0]
+    if kind == "X":
+        return mm, bm, mpos, bpos, 0
+    t = mv[-1]
+    if maker_turn:
+        if kind != "T":
+            mm |= bit[mv[1] if kind == "P" else mpos][t]
+        return mm, bm, t, bpos, 1
+    if kind != "T":
+        bm |= bit[mv[1] if kind == "P" else bpos][t]
+    return mm, bm, mpos, t, 0
+
+
+def _relabel(mv: tuple, label: tuple) -> tuple:
+    """``mv`` with every vertex v renamed to label[v]."""
+    return (mv[0],) + tuple(label[v] for v in mv[1:])
+
+
+def _goal_tables(n: int, goal: str, bit: list) -> tuple:
+    """(won, dead) over all edge masks: won[mm] when the Maker's edges
+    reach the goal, dead[bm] when the Breaker's edges alone rule it out
+    for good."""
+    size = 1 << edge_count(n)
+    won = bytearray(size)
+    dead = bytearray(size)
+    if goal == "connectivity":
+        ends = [0] * edge_count(n)
+        for a in range(n):
+            for b in range(a + 1, n):
+                ends[edge_index(n, a, b)] = (1 << a) | (1 << b)
+        visited = [0] * size
+        stars = [sum(row) for row in bit]
+        for m in range(1, size):
+            low = m & -m
+            visited[m] = visited[m ^ low] | ends[low.bit_length() - 1]
+            won[m] = visited[m] == (1 << n) - 1
+            dead[m] = any(m & s == s for s in stars)
+        return won, dead
+    cycles = []
     for perm in permutations(range(1, n)):
-        if perm[0] > perm[-1]:
-            continue  # each cycle once, not once per direction
-        cyc = (0,) + perm
-        mask = 0
-        for i in range(n):
-            mask |= 1 << eidx[cyc[i]][cyc[(i + 1) % n]]
-        masks.append(mask)
-    return tuple(masks)
+        if perm[0] < perm[-1]:  # each cycle once, not once per direction
+            cyc = (0,) + perm
+            cycles.append(sum(bit[cyc[i]][cyc[i - 1]] for i in range(n)))
+    for m in range(size):
+        won[m] = any(m & c == c for c in cycles)
+        dead[m] = all(m & c for c in cycles)
+    return won, dead
 
 
 class _Solver:
-    """A position is (own, mpos, bpos, to_move): the engine's edge codes
-    as bytes, the two positions (-1 before placement) and the mover as
-    the edge code it claims with (``Player.owns``)."""
+    """Minimax over positions (mm, bm, mpos, bpos, maker_turn): edge
+    bitmasks, positions (-1 before placement) and 1 when the Maker
+    moves. The memo maps a canonical key to (v, move): v >= 0 is the
+    exact value, v < 0 means prevented within a budget of -v; the move
+    is in the canonical frame."""
 
     def __init__(self, n: int, goal: str, node_limit: int):
         if n < 3 or n > ORACLE_MAX_N:
@@ -107,142 +194,155 @@ class _Solver:
         if goal not in GOALS:
             raise ValueError(f"unknown goal {goal!r}")
         self.n = n
-        self.goal = goal
         self.node_limit = node_limit
         self.nodes = 0
         self.memo: dict = {}
         self.onpath: set = set()
-        self.eidx = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    self.eidx[a][b] = edge_index(n, a, b)
-        self.full_visit = (1 << n) - 1
-        self.cycle_masks = (_hamilton_cycle_masks(n, self.eidx)
-                            if goal == "hamilton" else ())
+        self.bit = _bit_rows(n)
+        self.edges = edge_count(n)
+        self.full = (1 << self.edges) - 1
+        self.won, self.dead = _goal_tables(n, goal, self.bit)
+        self.half = self.edges // 2
+        self.low_mask = (1 << self.half) - 1
+        self.groups = self._relabellings()
 
-    # -- goal and derived facts ---------------------------------------------
+    def _relabellings(self) -> list:
+        """groups[mpos + 1][bpos + 1] = (tag, cmpos, cbpos, renamings):
+        the canonical positions, their share of the key, and for each
+        renaming that sends mpos to 0 and bpos to the next label, the
+        mask tables (lo, hi) and the canonical-to-actual vertex map."""
+        n, bit, half = self.n, self.bit, self.half
+        tables = {}
 
-    def _visited_and_medges(self, own: bytes) -> tuple:
-        visited = 0
-        medges = 0
-        n = self.n
-        e = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if own[e] == MAKER_OWNED:
-                    visited |= (1 << a) | (1 << b)
-                    medges |= 1 << e
-                e += 1
-        return visited, medges
+        def renaming(perm: tuple) -> tuple:
+            if perm not in tables:
+                moved = [0] * self.edges
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        moved[edge_index(n, a, b)] = bit[perm[a]][perm[b]]
+                lo = [0] * (1 << half)
+                hi = [0] * (1 << (self.edges - half))
+                for table, shift in ((lo, 0), (hi, half)):
+                    for m in range(1, len(table)):
+                        low = m & -m
+                        table[m] = (table[m ^ low]
+                                    | moved[low.bit_length() - 1 + shift])
+                label = [0] * n
+                for v in range(n):
+                    label[perm[v]] = v
+                tables[perm] = (lo, hi, tuple(label))
+            return tables[perm]
 
-    def _won(self, own: bytes) -> bool:
-        visited, medges = self._visited_and_medges(own)
-        if self.goal == "connectivity":
-            return visited == self.full_visit
-        return any((medges & c) == c for c in self.cycle_masks)
+        groups = []
+        for mpos in range(-1, n):
+            row = []
+            for bpos in range(-1, n):
+                fixed = [mpos] if mpos >= 0 else []
+                if bpos >= 0 and bpos != mpos:
+                    fixed.append(bpos)
+                rest = [v for v in range(n) if v not in fixed]
+                cmpos = 0 if mpos >= 0 else -1
+                cbpos = -1 if bpos < 0 else fixed.index(bpos)
+                renamings = []
+                for order in permutations(range(len(fixed), n)):
+                    perm = [0] * n
+                    for label, v in enumerate(fixed):
+                        perm[v] = label
+                    for label, v in zip(order, rest):
+                        perm[v] = label
+                    renamings.append(renaming(tuple(perm)))
+                tag = ((cmpos + 1) * 3 + cbpos + 1) * 2
+                row.append((tag, cmpos, cbpos, tuple(renamings)))
+            groups.append(row)
+        return groups
 
-    # -- move generation, engine order --------------------------------------
+    def _canonical(self, mm: int, bm: int, mpos: int, bpos: int,
+                   maker_turn: int) -> tuple:
+        """(key, cmm, cbm, cmpos, cbpos, label): the canonical form and
+        the map from its vertices back to this position's."""
+        tag, cmpos, cbpos, renamings = self.groups[mpos + 1][bpos + 1]
+        edges, half, low_mask = self.edges, self.half, self.low_mask
+        best = -1
+        for lo, hi, label in renamings:
+            w = ((lo[mm & low_mask] | hi[mm >> half]) << edges
+                 | lo[bm & low_mask] | hi[bm >> half])
+            if best < 0 or w < best:
+                best, best_label = w, label
+        return (best * 12 + tag + maker_turn, best >> edges, best & self.full,
+                cmpos, cbpos, best_label)
 
-    def _moves(self, own: bytes, pos: int, mine: int, other_pos: int = -1,
-               reduce_symmetry: bool = False) -> list:
-        n = self.n
-        if pos < 0:
-            if (reduce_symmetry and other_pos < 0
-                    and all(o == FREE for o in own)):
-                # Empty board: every placement is equivalent under
-                # relabeling, so explore one representative.
-                return [("P", 0, 1)]
-            out = []
-            for s in range(n):
-                for t in range(n):
-                    if s != t and own[self.eidx[s][t]] == FREE:
-                        out.append(("P", s, t))
-            return out
-        claims = [("C", t) for t in range(n)
-                  if t != pos and own[self.eidx[pos][t]] == FREE]
-        travs = [("T", t) for t in range(n)
-                 if t != pos and own[self.eidx[pos][t]] == mine]
-        if not claims and not travs:
-            return [("X",)]
-        return claims + travs
-
-    # -- search --------------------------------------------------------------
-
-    def _child(self, own: bytes, mpos: int, bpos: int, to_move: int,
-               mv: tuple) -> tuple:
-        """(own, mpos, bpos, to_move, cost) after the side to move plays
-        ``mv``; cost is 1 for a non-pass Maker move, else 0."""
-        kind = mv[0]
-        nxt = MAKER_OWNED + BREAKER_OWNED - to_move
-        if kind == "X":
-            return own, mpos, bpos, nxt, 0
-        target = mv[-1]
-        maker_turn = to_move == MAKER_OWNED
-        if kind != "T":
-            origin = mv[1] if kind == "P" else (mpos if maker_turn else bpos)
-            e = self.eidx[origin][target]
-            own = own[:e] + bytes([to_move]) + own[e + 1:]
-        if maker_turn:
-            return own, target, bpos, nxt, 1
-        return own, mpos, target, nxt, 0
-
-    def value(self, own: bytes, mpos: int, bpos: int, to_move: int,
-              budget: int) -> int:
+    def value(self, mm: int, bm: int, mpos: int, bpos: int,
+              maker_turn: int, budget: int) -> int:
         """Least additional Maker moves to the goal, spending at most
         ``budget`` of them, under best resistance. _INF if prevented."""
-        if self._won(own):
+        if self.won[mm]:
             return 0
-        if budget <= 0:
+        if budget <= 0 or self.dead[bm]:
             return _INF
-        key = (own, mpos, bpos, to_move, budget)
+        key, mm, bm, mpos, bpos, _ = self._canonical(mm, bm, mpos, bpos,
+                                                     maker_turn)
         hit = self.memo.get(key)
         if hit is not None:
-            return hit[0]
-        if key in self.onpath:
-            return _INF  # an all-pass standoff: nobody can progress
+            v = hit[0]
+            if v >= 0:
+                return v if v <= budget else _INF
+            if -v >= budget:
+                return _INF
+        guard = (key, budget)
+        if guard in self.onpath:
+            return _INF  # the Maker is stuck: nobody can progress
         self.nodes += 1
         if self.nodes > self.node_limit or len(self.memo) > self.node_limit:
             raise OracleLimitError(
                 f"search exceeded {self.node_limit} nodes; raise the limit "
                 "or shrink the problem")
-        self.onpath.add(key)
-        maker_turn = to_move == MAKER_OWNED
-        pos = mpos if maker_turn else bpos
-        best = _INF if maker_turn else -1
-        best_move = None
-        other = bpos if maker_turn else mpos
-        for mv in self._moves(own, pos, to_move, other, reduce_symmetry=True):
-            nown, nm, nb, nxt, cost = self._child(own, mpos, bpos, to_move, mv)
-            v = self.value(nown, nm, nb, nxt, budget - cost)
-            total = _INF if v >= _INF else v + cost
+        self.onpath.add(guard)
+        bit = self.bit
+        free = self.full & ~(mm | bm)
+        if maker_turn:
+            best = _INF
+            moves = _moves(bit, free, mm, mpos)
+        else:
+            best = -1
+            moves = _moves(bit, free, bm, bpos)
+        best_move = moves[0]
+        for mv in moves:
+            nmm, nbm, nm, nb, cost = _child(bit, mm, bm, mpos, bpos,
+                                            maker_turn, mv)
             if maker_turn:
-                if best_move is None or total < best:
-                    best, best_move = total, mv
+                if best <= 1:
+                    break  # no move can beat an immediate win
+                # Only a total below ``best`` would replace it.
+                v = self.value(nmm, nbm, nm, nb, 0,
+                               min(budget, best - 1) - cost)
+                if v + cost < best:
+                    best, best_move = v + cost, mv
             else:
-                if total > best:
-                    best, best_move = total, mv
-        self.onpath.discard(key)
-        self.memo[key] = (best, best_move)
+                v = self.value(nmm, nbm, nm, nb, 1, budget)
+                if v > best:
+                    best, best_move = v, mv
+                    if v >= _INF:
+                        break  # prevention is the Breaker's best
+        self.onpath.discard(guard)
+        self.memo[key] = (best if best < _INF else -budget, best_move)
         return best
 
-    def principal_variation(self, own: bytes, mpos: int, bpos: int,
-                            to_move: int, budget: int, max_len: int) -> list:
+    def principal_variation(self, mm: int, bm: int, mpos: int, bpos: int,
+                            maker_turn: int, budget: int,
+                            max_len: int) -> list:
         pv = []
         seen = set()
-        while len(pv) < max_len:
-            if self._won(own) or budget <= 0:
-                break
-            key = (own, mpos, bpos, to_move, budget)
-            if key in seen:
-                break
-            seen.add(key)
+        while len(pv) < max_len and not self.won[mm] and budget > 0:
+            key, *_, label = self._canonical(mm, bm, mpos, bpos, maker_turn)
             hit = self.memo.get(key)
-            if hit is None or hit[1] is None:
-                break
-            pv.append(_as_engine_move(hit[1]))
-            own, mpos, bpos, to_move, cost = self._child(
-                own, mpos, bpos, to_move, hit[1])
+            if hit is None or (key, budget) in seen:
+                break  # a dead position or a standoff
+            seen.add((key, budget))
+            mv = _relabel(hit[1], label)
+            pv.append(_as_engine_move(mv))
+            mm, bm, mpos, bpos, cost = _child(self.bit, mm, bm, mpos, bpos,
+                                              maker_turn, mv)
+            maker_turn ^= 1
             budget -= cost
         return pv
 
@@ -258,18 +358,25 @@ def _as_engine_move(mv: tuple) -> Move:
 
 
 def _internal_from_state(state: GameState) -> tuple:
-    own = bytes(state.edges)
+    """(mm, bm, mpos, bpos, maker_turn) for an engine state."""
+    mm = bm = 0
+    for e, code in enumerate(state.edges):
+        if code == MAKER_OWNED:
+            mm |= 1 << e
+        elif code == BREAKER_OWNED:
+            bm |= 1 << e
     mpos = -1 if state.maker_pos is None else state.maker_pos
     bpos = -1 if state.breaker_pos is None else state.breaker_pos
-    return own, mpos, bpos, state.to_move.owns
+    return mm, bm, mpos, bpos, int(state.to_move is Player.MAKER)
 
 
 def oracle_moves(state: GameState) -> list:
     """The solver's legal moves for an engine state, as engine Moves."""
-    solver = _Solver(state.n, "connectivity", node_limit=1)
-    own, mpos, bpos, to_move = _internal_from_state(state)
-    pos = mpos if to_move == MAKER_OWNED else bpos
-    return [_as_engine_move(m) for m in solver._moves(own, pos, to_move)]
+    mm, bm, mpos, bpos, maker_turn = _internal_from_state(state)
+    free = (1 << edge_count(state.n)) - 1 & ~(mm | bm)
+    mine, pos = (mm, mpos) if maker_turn else (bm, bpos)
+    return [_as_engine_move(m)
+            for m in _moves(_bit_rows(state.n), free, mine, pos)]
 
 
 def solve_from_state(state: GameState, goal: str,
@@ -287,11 +394,11 @@ def solve_from_state(state: GameState, goal: str,
     cap = move_cap if move_cap is not None else 10 * state.n
     remaining = max(cap - state.maker_moves, 0)
     solver = _Solver(state.n, goal, node_limit)
-    own, mpos, bpos, to_move = _internal_from_state(state)
+    position = _internal_from_state(state)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:
-        val = solver.value(own, mpos, bpos, to_move, remaining)
+        val = solver.value(*position, remaining)
     finally:
         sys.setrecursionlimit(limit)
     if val < _INF:
@@ -302,8 +409,7 @@ def solve_from_state(state: GameState, goal: str,
         outcome = "breaker"
         moves_to_win = None
         pv_len = 4 * cap + 8
-    pv = solver.principal_variation(own, mpos, bpos, to_move, remaining,
-                                    pv_len)
+    pv = solver.principal_variation(*position, remaining, pv_len)
     first = "maker" if state.to_move is Player.MAKER else "breaker"
     return SolveResult(
         n=state.n,
@@ -313,6 +419,7 @@ def solve_from_state(state: GameState, goal: str,
         outcome=outcome,
         maker_moves_to_win=moves_to_win,
         nodes=solver.nodes,
+        memo=len(solver.memo),
         pv=tuple(pv),
     )
 

@@ -612,7 +612,7 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
         mem.notes.append("fence: home edge lost, protected vertex was reached")
         return legal_moves(state, Player.BREAKER)[0]
 
-    if mpos is not None and state.is_free(z, mpos):
+    if mpos is not None and mpos != z and state.is_free(z, mpos):
         return Move.claim(mpos)
 
     # Blocking edge already taken: spend the move on another fence edge.

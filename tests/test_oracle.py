@@ -10,8 +10,9 @@ the agreement tests):
   board has exactly as many edges as the cycle needs);
 * 4 vertices, connectivity, either order: Maker wins with 4 moves;
 * 4 vertices, Hamilton cycle, either order: prevented forever;
-* 5 vertices, connectivity, Breaker moving first: Maker wins with 5
-  moves.
+* 5 vertices, connectivity, at the default cap of 50: Maker wins with
+  5 moves moving second and 6 moving first;
+* 5 vertices, Hamilton cycle, either order: prevented.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ from walkergames.oracle import (
     ORACLE_MAX_N,
     OracleLimitError,
     SolveResult,
+    _internal_from_state,
+    _Solver,
     cross_validate,
     oracle_moves,
     solve,
@@ -127,6 +130,80 @@ class TestBruteForceAgreement:
                 checked += 1
         assert checked >= 16
 
+    def test_hamilton_midgame_positions_agree(self):
+        # Random play leaves some boards where the Maker closes a cycle,
+        # so the Hamilton goal and dead tables are checked on both sides.
+        wins = checked = 0
+        for seed in range(40):
+            for first in (Player.BREAKER, Player.MAKER):
+                for state in itertools.islice(
+                        random_playout_states(4, seed, 12, first=first),
+                        4, None, 2):
+                    result = solve_from_state(
+                        state, "hamilton", move_cap=state.maker_moves + 6)
+                    reference = brute_force_value(state, "hamilton", 6)
+                    if reference >= INF:
+                        assert result.outcome == "breaker", state
+                    else:
+                        assert result.maker_moves_to_win == reference, state
+                        assert cross_validate(result, initial=state)
+                        wins += 1
+                    checked += 1
+        assert checked == 400 and wins >= 5
+
+
+class TestBudgetIndependence:
+    """A value v found at one budget is the value at every budget of at
+    least v, and every smaller budget is prevention: what lets the memo
+    drop the budget from its key."""
+
+    @staticmethod
+    def _midgame_states():
+        for seed in range(6):
+            for first in (Player.BREAKER, Player.MAKER):
+                yield from itertools.islice(
+                    random_playout_states(4, seed, 8, first=first), 2, None, 3)
+
+    @pytest.mark.parametrize("goal", ["connectivity", "hamilton"])
+    def test_value_at_one_cap_fixes_every_cap(self, goal):
+        finite = 0
+        for state in self._midgame_states():
+            values = {}
+            for budget in range(0, 13):
+                result = solve_from_state(
+                    state, goal, move_cap=state.maker_moves + budget)
+                values[budget] = result.maker_moves_to_win
+                if budget <= 5:
+                    reference = brute_force_value(state, goal, budget)
+                    assert values[budget] == (
+                        None if reference >= INF else reference), (state, budget)
+            v = values[12]
+            if v is None:
+                assert set(values.values()) == {None}
+                continue
+            finite += 1
+            for budget, value in values.items():
+                assert value == (v if budget >= v else None), (state, budget)
+        if goal == "connectivity":
+            assert finite >= 10
+
+    @pytest.mark.parametrize("goal", ["connectivity", "hamilton"])
+    def test_one_memo_answers_budgets_in_any_order(self, goal):
+        rng = random.Random(4)
+        varied = 0
+        for state in self._midgame_states():
+            position = _internal_from_state(state)
+            fresh = {b: _Solver(4, goal, 10 ** 6).value(*position, b)
+                     for b in range(0, 11)}
+            varied += len(set(fresh.values())) > 1
+            shared = _Solver(4, goal, 10 ** 6)
+            order = list(range(0, 11)) * 2
+            rng.shuffle(order)
+            for b in order:
+                assert shared.value(*position, b) == fresh[b], (state, b)
+        if goal == "connectivity":
+            assert varied >= 10
+
 
 class TestGeneratorAgreement:
     def test_matches_engine_legal_moves_on_playouts(self):
@@ -155,17 +232,48 @@ class TestCapBehavior:
 class TestSymmetry:
     def test_relabeling_preserves_values(self):
         rng = random.Random(9)
-        states = [s for seed in (0, 1)
+        states = [s for n in (4, 5) for seed in (0, 1)
                   for s in itertools.islice(
-                      random_playout_states(4, seed, 5), 2, None, 2)]
-        for state in states[:6]:
+                      random_playout_states(n, seed, 5), 2, None, 2)]
+        assert {s.n for s in states} == {4, 5}
+        for state in states:
             base = solve_from_state(state, "connectivity", move_cap=16)
-            perm = list(range(4))
+            perm = list(range(state.n))
             rng.shuffle(perm)
-            mirrored = solve_from_state(relabel_state(state, perm),
-                                        "connectivity", move_cap=16)
+            relabeled = relabel_state(state, perm)
+            mirrored = solve_from_state(relabeled, "connectivity",
+                                        move_cap=16)
             assert mirrored.outcome == base.outcome
             assert mirrored.maker_moves_to_win == base.maker_moves_to_win
+            assert cross_validate(mirrored, initial=relabeled)
+
+    @pytest.mark.parametrize("goal", ["connectivity", "hamilton"])
+    def test_unplaced_and_shared_positions_replay(self, goal):
+        # Canonical keys cover a walker not yet placed (-1) and both
+        # walkers on one vertex; the variation is read back through them.
+        rng = random.Random(5)
+        seen = {"unplaced": 0, "shared": 0}
+        for seed in range(12):
+            for first in (Player.BREAKER, Player.MAKER):
+                for state in random_playout_states(5, seed, 10, first=first):
+                    if (state.maker_pos is None) != (state.breaker_pos is None):
+                        kind = "unplaced"
+                    elif (state.maker_pos is not None
+                          and state.maker_pos == state.breaker_pos):
+                        kind = "shared"
+                    else:
+                        continue
+                    seen[kind] += 1
+                    base = solve_from_state(state, goal)
+                    assert cross_validate(base, initial=state)
+                    perm = list(range(5))
+                    rng.shuffle(perm)
+                    relabeled = relabel_state(state, perm)
+                    mirrored = solve_from_state(relabeled, goal)
+                    assert (mirrored.maker_moves_to_win
+                            == base.maker_moves_to_win)
+                    assert cross_validate(mirrored, initial=relabeled)
+        assert seen["unplaced"] >= 10 and seen["shared"] >= 10
 
 
 class TestCrossValidation:
@@ -239,4 +347,18 @@ class TestFiveVertexSmoke:
         assert result.outcome == "maker"
         assert result.maker_moves_to_win == 5
         assert result.nodes > 0
+        assert cross_validate(result)
+
+    @pytest.mark.parametrize("goal,first,value", [
+        ("connectivity", Player.MAKER, 6),
+        ("connectivity", Player.BREAKER, 5),
+        ("hamilton", Player.MAKER, None),
+        ("hamilton", Player.BREAKER, None),
+    ])
+    def test_default_cap_solves_and_replays(self, goal, first, value):
+        result = solve(5, goal, first)
+        assert result.move_cap == 50
+        assert result.maker_moves_to_win == value
+        assert result.outcome == ("breaker" if value is None else "maker")
+        assert 0 < result.memo <= result.nodes
         assert cross_validate(result)

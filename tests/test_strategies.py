@@ -561,6 +561,41 @@ class TestIsolatingBreaker:
         assert result.winner == "breaker"
         assert 9 in result.final_state.unvisited
 
+    def test_maker_on_fence_is_never_claimed_toward(self):
+        # Outside (1:2) the Maker can reach the protected vertex; standing
+        # there with her, the fence must not claim the loop 9-9.
+        mem = StrategyMemory()
+        mem.designated["target"] = 9
+        state = build_state(10, maker_edges=[(0, 1), (1, 9)],
+                            breaker_edges=[(2, 9)], maker_pos=9, breaker_pos=9,
+                            to_move=Player.BREAKER,
+                            first_player=Player.MAKER)
+        move = isolating_breaker2_move(state, mem)
+        assert move in legal_moves(state, Player.BREAKER)
+
+    def test_single_bias_game_seed_27_plays_legally(self):
+        config = GameConfig(n=20, maker="connectivity", breaker="isolating",
+                            seed=27)
+        result = run_game(config)
+        assert (result.winner, result.reason) == ("maker", "goal")
+        assert result.maker_move_count <= 21
+        replay_transcript(result.transcript)
+
+    @pytest.mark.parametrize("bias", [(1, 1), (2, 1)])
+    def test_bias_sweep_plays_legally(self, bias):
+        for n in (8, 13):
+            for first in (Player.MAKER, Player.BREAKER):
+                for maker in ("chase", "connectivity"):
+                    for seed in range(3):
+                        config = GameConfig(n=n, maker=maker,
+                                            breaker="isolating", bias=bias,
+                                            first_player=first, seed=seed)
+                        result = run_game(config)
+                        assert result.assertion is None
+                        assert result.winner == "maker"
+                        assert result.maker_move_count <= n + 1
+                        replay_transcript(result.transcript)
+
 
 class TestCamperBreaker:
     def test_opens_camping_at_zero(self):

@@ -463,6 +463,18 @@ class TestExitCodes:
         assert code == 4
         assert "error[value]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exc", [TypeError("unsupported operand"),
+                                     MemoryError(), KeyError("n")])
+    def test_escaped_exception_is_internal_exit_3(self, exc, capsys,
+                                                  monkeypatch):
+        def broken(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_solve", broken)
+        code = cli.main(["solve", "--n", "3"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"error[internal]: {type(exc).__name__}" in err
+
 
 # ---------------------------------------------------------------------------
 # CLI behavior
@@ -542,6 +554,7 @@ class TestCliBehavior:
         assert payload["outcome"] == "maker"
         assert payload["maker_moves_to_win"] == 2
         assert payload["cross_validated"] is True
+        assert 0 < payload["memo"] <= payload["nodes"]
 
     def test_solve_text_output(self, capsys):
         code = cli.main(["solve", "--n", "3", "--first", "maker",
@@ -549,6 +562,22 @@ class TestCliBehavior:
         assert code == 0
         out = capsys.readouterr().out
         assert "breaker prevents the goal" in out
+        assert " memo=" in out
+
+    @pytest.mark.parametrize("goal,first,verdict", [
+        ("connectivity", "maker", "maker reaches the goal in 6 moves"),
+        ("connectivity", "breaker", "maker reaches the goal in 5 moves"),
+        ("hamilton", "maker", "breaker prevents the goal"),
+        ("hamilton", "breaker", "breaker prevents the goal"),
+    ])
+    def test_solve_five_vertices_at_default_cap(self, goal, first, verdict,
+                                                capsys):
+        code = cli.main(["solve", "--n", "5", "--goal", goal,
+                         "--first", first])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"cap=50: {verdict}" in out
+        assert "cross_validated=True" in out
 
     def test_move_cap_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("WALKERGAMES_MOVE_CAP", "5")
