@@ -152,11 +152,21 @@ class GameState:
         return self.maker_pos if player is Player.MAKER else self.breaker_pos
 
 
+# The largest board a game may use. Its edge store takes n(n-1)/2 bytes,
+# about 8 MB at this size, and every move copies it.
+MAX_N = 4096
+
+
 def new_game(n: int, bias: Bias = Bias(1, 1),
              first_player: Player = Player.BREAKER) -> GameState:
-    """Fresh game: all edges free, no positions, every vertex unvisited."""
+    """Fresh game: all edges free, no positions, every vertex unvisited.
+
+    Raises ValueError, before allocating anything, unless 3 <= n <= MAX_N.
+    """
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"at most {MAX_N} vertices are supported, got {n}")
     bias = Bias(*bias)
     if bias.maker < 1 or bias.breaker < 1:
         raise ValueError(f"bias entries must be positive, got {bias}")
@@ -351,14 +361,19 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
 
 def degree_b(state: GameState, x: int, restrict: Optional[Iterable[int]] = None) -> int:
     """Breaker degree of x, optionally counting only neighbours in ``restrict``
-    (distinct vertices)."""
+    (distinct vertices).
+
+    The restricted count scans only ``restrict`` intersected with
+    ``breaker_touched``: every Breaker edge of x ends at a Breaker-touched
+    vertex, so no other neighbour can count.
+    """
     full = state.deg_b[x]
     if restrict is None or full == 0:
         return full
     n = state.n
     edges = state.edges
     count = 0
-    for t in restrict:
+    for t in state.breaker_touched.intersection(restrict):
         if t != x and edges[edge_index(n, x, t)] == BREAKER_OWNED:
             count += 1
             if count == full:  # no Breaker edge of x is left to find

@@ -90,8 +90,15 @@ class CheckStats:
 # Standalone predicates, reused by the suite and by unit tests.
 
 def breaker_edges_all_touch_maker(state: GameState) -> Optional[tuple]:
-    """Return a Breaker edge with both endpoints unvisited, or None."""
+    """Return the first Breaker edge with both endpoints unvisited, or None.
+
+    Both ends of such an edge are tainted, unvisited and Breaker-touched,
+    so with fewer than two tainted vertices there is none and the edges
+    need no scan.
+    """
     unvisited = state.unvisited
+    if len(state.breaker_touched & unvisited) < 2:
+        return None
     for a, b in state.breaker_edges:
         if a in unvisited and b in unvisited:
             return (a, b)

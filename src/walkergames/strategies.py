@@ -165,6 +165,30 @@ def _relocate(state: GameState, mem: StrategyMemory) -> Move:
     return min(moves, key=rank)
 
 
+def _best_unvisited_target(state: GameState, v: int) -> Optional[int]:
+    """The unvisited u != v with a free edge vu, of highest opponent
+    degree, lowest index on ties; None when there is none.
+
+    Only the tainted vertices, unvisited and Breaker-touched, need a
+    look. An unvisited u has no Maker edge, so vu is free unless the
+    Breaker owns it, which makes u tainted. Every other unvisited vertex
+    has opponent degree 0 and a free edge from v, and loses to any free
+    tainted one.
+    """
+    unvisited = state.unvisited
+    tainted = state.breaker_touched & unvisited
+    best = None
+    for u in tainted:
+        if u != v and state.is_free(v, u):
+            key = (-state.deg_b[u], u)
+            if best is None or key < best:
+                best = key
+    if best is not None:
+        return best[1]
+    rest = unvisited - tainted - {v}
+    return min(rest) if rest else None
+
+
 def chase_move(state: GameState, mem: StrategyMemory) -> Move:
     """One move of the pursuit policy.
 
@@ -174,8 +198,12 @@ def chase_move(state: GameState, mem: StrategyMemory) -> Move:
          endpoint of larger opponent degree (tie: lowest index);
       2. otherwise claim a free wu into the unvisited set maximizing
          the opponent degree of u (tie: lowest index).
-    With three or more vertices unvisited, having no free edge into
-    them contradicts the pursuit guarantees and raises.
+    Priority 2 looks only at the tainted vertices, unvisited and
+    Breaker-touched, which pursuit keeps to at most two, and otherwise
+    takes the lowest untouched unvisited vertex (see
+    ``_best_unvisited_target``). With three or more vertices unvisited,
+    having no free edge into them contradicts the pursuit guarantees
+    and raises.
     """
     if state.maker_pos is None:
         return _opening_move(state, mem)
@@ -192,15 +220,10 @@ def chase_move(state: GameState, mem: StrategyMemory) -> Move:
                 return Move.claim(pick)
 
     # Priority 2: free edge into the unvisited set, maximum opponent degree.
-    best = None
-    for u in unvisited:
-        if state.is_free(w, u):
-            key = (-state.deg_b[u], u)
-            if best is None or key < best[0]:
-                best = (key, u)
-    if best is not None:
-        mem.path_order.append(best[1])
-        return Move.claim(best[1])
+    target = _best_unvisited_target(state, w)
+    if target is not None:
+        mem.path_order.append(target)
+        return Move.claim(target)
 
     if len(unvisited) >= 3:
         raise StrategyAssertionError(
@@ -495,7 +518,13 @@ def random_walker_move(state: GameState, rng: random.Random) -> Move:
 
 
 def greedy_breaker_move(state: GameState) -> Move:
-    """Claim toward unvisited vertices, highest own degree first."""
+    """Claim toward unvisited vertices, highest own degree first.
+
+    An unvisited target is the one ``_best_unvisited_target`` picks,
+    found from the tainted vertices alone. Only when none exists does
+    the policy scan every vertex: for a claim to a visited vertex, then
+    a traversal.
+    """
     if state.breaker_pos is None:
         for s in range(state.n):
             for t in range(s + 1, state.n):
@@ -503,7 +532,9 @@ def greedy_breaker_move(state: GameState) -> Move:
                     return Move.place(s, t)
         return Move.pass_()
     pos = state.breaker_pos
-    unvisited = state.unvisited
+    target = _best_unvisited_target(state, pos)
+    if target is not None:
+        return Move.claim(target)
     best = None
     traverse = None
     for t in range(state.n):
@@ -511,7 +542,7 @@ def greedy_breaker_move(state: GameState) -> Move:
             continue
         o = state.owner(pos, t)
         if o == FREE:
-            key = (0 if t in unvisited else 1, -state.deg_b[t], t)
+            key = (-state.deg_b[t], t)
             if best is None or key < best[0]:
                 best = (key, t)
         elif o == BREAKER_OWNED and traverse is None:

@@ -172,6 +172,27 @@ def random_playout_states(n: int, seed: int, steps: int,
         yield state
 
 
+def random_maker_states(breaker: str, bias=(1, 1), first=Player.BREAKER):
+    """Yield every state of games between the random Maker and the named
+    Breaker: n in {5, 13, 40}, seeds 0 and 1, 3n moves each. Unlike
+    pursuit, such play leaves many unvisited vertices touched by Breaker
+    edges."""
+    from walkergames.strategies import make_policy
+
+    for n in (5, 13, 40):
+        for seed in (0, 1):
+            policies = {
+                Player.MAKER: make_policy(Player.MAKER, "random", seed),
+                Player.BREAKER: make_policy(Player.BREAKER, breaker, seed),
+            }
+            state = new_game(n, Bias(*bias), first)
+            yield state
+            for _ in range(3 * n):
+                mover = state.to_move
+                state = apply_move(state, mover, policies[mover](state))
+                yield state
+
+
 def all_candidate_moves(n: int):
     """Every syntactically well-formed move on n vertices."""
     out = [Move.pass_()]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import re
 from pathlib import Path
@@ -55,21 +56,65 @@ def test_golden_sweep_transcripts_match_frozen_digests():
     assert changed == []
 
 
-# The n=200 seed-0 games of the two ``big_board`` pairs: the golden
-# corpus stops at n=100, and the edge store matters most on big boards.
+# The seed-0 games of the two ``big_board`` pairs: the golden corpus
+# stops at n=100, and the edge store and the per-move scans matter most
+# on big boards. n=800 is the workload's own size.
 BIG_BOARD_N200 = {
     ("connectivity", "connectivity", "greedy"):
         "a24ca35a59d4646efc1a437c886e46dae0accc70ef4fd180a219ea8bb6aad392",
     ("hamilton", "hamilton", "camper"):
         "688c38166a61c70ed3fad389378a129c75982279dfec8ca295e29df533f49e5c",
 }
+BIG_BOARD_N800 = {
+    ("connectivity", "connectivity", "greedy"):
+        "7388474a3febe077cb8c2485a93d12ebc89e82ab6fbf7a4342a6d93cfbb1baba",
+    ("hamilton", "hamilton", "camper"):
+        "fe1389807a49707e4b12cd14b325f0e5ff50878d75b2bf27ed3d5885df5a2bb8",
+}
+
+
+def _big_board_digest(n, maker, goal, breaker):
+    config = GameConfig(n=n, maker=maker, goal=goal, breaker=breaker, seed=0)
+    return _sha(run_game(config).transcript.dumps())
 
 
 @pytest.mark.parametrize("maker,goal,breaker", sorted(BIG_BOARD_N200))
 def test_big_board_pairs_at_n200_match_frozen_digests(maker, goal, breaker):
-    config = GameConfig(n=200, maker=maker, goal=goal, breaker=breaker, seed=0)
-    digest = _sha(run_game(config).transcript.dumps())
+    digest = _big_board_digest(200, maker, goal, breaker)
     assert digest == BIG_BOARD_N200[(maker, goal, breaker)]
+
+
+@pytest.mark.parametrize("maker,goal,breaker", sorted(BIG_BOARD_N800))
+def test_big_board_pairs_at_n800_match_frozen_digests(maker, goal, breaker):
+    digest = _big_board_digest(800, maker, goal, breaker)
+    assert digest == BIG_BOARD_N800[(maker, goal, breaker)]
+
+
+# Every Maker against every Breaker at every bias, both first players,
+# on small boards: the cases the golden corpus leaves out. Random play
+# toward the Hamilton goal is left out because its exhaustive goal test
+# can run for minutes.
+WIDE_MATRIX_DIGEST = (
+    "7ad6a6e51ce7bb0d3fbfcd36847d8584f91132cdae817324c59bf3aba849f5cf")
+
+
+def test_wide_transcript_matrix_matches_frozen_digest():
+    matrix = list(itertools.product(
+        (5, 8, 13, 30),
+        (("chase", "connectivity"), ("connectivity", "connectivity"),
+         ("hamilton", "hamilton"), ("random", "connectivity")),
+        ("random", "greedy", "delaying", "delaying-greedy", "camper",
+         "isolating"),
+        ((1, 1), (1, 2), (2, 1)),
+        Player,
+        (0, 3)))
+    assert len(matrix) == 1152
+    digest = hashlib.sha256()
+    for n, (maker, goal), breaker, bias, first, seed in matrix:
+        config = GameConfig(n=n, maker=maker, goal=goal, breaker=breaker,
+                            bias=bias, first_player=first, seed=seed)
+        digest.update(run_game(config).transcript.dumps().encode())
+    assert digest.hexdigest() == WIDE_MATRIX_DIGEST
 
 
 def test_traced_game_writes_the_untraced_bytes():

@@ -11,6 +11,7 @@ from conftest import all_candidate_moves, random_playout_states
 from walkergames.engine import (
     BREAKER_OWNED,
     Bias,
+    MAX_N,
     IllegalMoveError,
     MalformedCertificateError,
     Move,
@@ -48,6 +49,13 @@ class TestEdgeIndexing:
 
     def test_symmetric(self):
         assert edge_index(9, 2, 7) == edge_index(9, 7, 2)
+
+
+class TestNewGame:
+    @pytest.mark.parametrize("n", [MAX_N + 1, 10 ** 12])
+    def test_boards_above_the_ceiling_are_refused(self, n):
+        with pytest.raises(ValueError, match=f"at most {MAX_N} vertices"):
+            new_game(n)
 
 
 class TestLegalMoves:
@@ -208,12 +216,14 @@ class TestDegrees:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 9),
            steps=st.integers(0, 40), x=st.integers(0, 8),
-           mask=st.integers(0, 2 ** 9 - 1))
+           mask=st.integers(0, 2 ** 9 - 1), with_x=st.booleans())
     def test_restricted_degree_matches_brute_force(self, seed, n, steps, x,
-                                                   mask):
+                                                   mask, with_x):
         *_, state = random_playout_states(n, seed, steps)
         x %= n
         restrict = {t for t in range(n) if mask >> t & 1}
+        if with_x:
+            restrict.add(x)
         expected = sum(1 for t in restrict
                        if t != x and state.owner(x, t) == BREAKER_OWNED)
         assert degree_b(state, x, restrict) == expected

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import build_state, traversing_deviant_maker
+from conftest import (
+    build_state,
+    random_maker_states,
+    traversing_deviant_maker,
+)
 
 from walkergames import monitors
 from walkergames.engine import (
@@ -275,6 +279,49 @@ class TestGatingInstants:
         assert suite.checks["first_visit_degree"].skipped == 1
         assert suite.checks["path_shape"].skipped == 1
 
+
+
+def _scan_untouched_breaker_edge(state):
+    """Reference: the first Breaker edge with both ends unvisited."""
+    for a, b in state.breaker_edges:
+        if a in state.unvisited and b in state.unvisited:
+            return (a, b)
+    return None
+
+
+class TestTaintedShortcut:
+    """``breaker_edges_all_touch_maker`` skips its scan when fewer than
+    two unvisited vertices touch Breaker edges; it must return what the
+    full scan returns."""
+
+    def test_single_tainted_vertex_has_no_untouched_edge(self):
+        state = build_state(10, maker_edges=[(0, 1)],
+                            breaker_edges=[(0, 5), (1, 5)], maker_pos=1,
+                            breaker_pos=5)
+        assert tainted_unvisited_count(state) == 1
+        assert breaker_edges_all_touch_maker(state) is None
+
+    def test_two_tainted_vertices_are_scanned(self):
+        apart = build_state(10, maker_edges=[(0, 1), (1, 2)],
+                            breaker_edges=[(0, 5), (2, 3)],
+                            maker_pos=2, breaker_pos=3)
+        joined = build_state(10, maker_edges=[(0, 1), (1, 2)],
+                             breaker_edges=[(0, 5), (5, 3)],
+                             maker_pos=2, breaker_pos=3)
+        assert tainted_unvisited_count(apart) == 2
+        assert breaker_edges_all_touch_maker(apart) is None
+        assert breaker_edges_all_touch_maker(joined) == (3, 5)
+
+    @pytest.mark.parametrize("breaker", ["random", "greedy"])
+    @pytest.mark.parametrize("bias", [(1, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("first", list(Player))
+    def test_matches_full_scan_along_played_games(self, breaker, bias, first):
+        found = 0
+        for state in random_maker_states(breaker, bias, first):
+            expected = _scan_untouched_breaker_edge(state)
+            found += expected is not None
+            assert breaker_edges_all_touch_maker(state) == expected
+        assert found > 0
 
 
 class TestIncrementalPathShape:

@@ -326,8 +326,13 @@ class TestLimitsAndErrors:
             solve_from_state(state, "connectivity")
 
     def test_node_budget_overflow_raises(self):
+        # The limit is taken from the solve itself, so it stays one node
+        # short however much the search is pruned.
+        nodes = solve(4, "connectivity", Player.BREAKER).nodes
         with pytest.raises(OracleLimitError):
-            solve(4, "connectivity", Player.BREAKER, node_limit=50)
+            solve(4, "connectivity", Player.BREAKER, node_limit=nodes - 1)
+        assert solve(4, "connectivity", Player.BREAKER,
+                     node_limit=nodes).nodes == nodes
 
     def test_prevention_still_carries_a_variation(self):
         result = solve(3, "connectivity", Player.MAKER, move_cap=10)

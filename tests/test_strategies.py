@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import build_state
+from conftest import build_state, random_maker_states
 
 from walkergames.engine import (
     BREAKER_OWNED,
+    FREE,
     MAKER_OWNED,
     Bias,
     GameState,
@@ -16,6 +17,7 @@ from walkergames.engine import (
     Player,
     apply_move,
     connectivity_won,
+    degree_b,
     legal_moves,
     new_game,
 )
@@ -28,6 +30,7 @@ from walkergames.strategies import (
     ScriptError,
     StrategyAssertionError,
     StrategyMemory,
+    _best_unvisited_target,
     camper_breaker_move,
     chase_move,
     connectivity_maker_move,
@@ -762,3 +765,101 @@ class TestPolicyLegality:
             if maker.memory.stage == 4:
                 break
         assert maker.memory.stage == 4
+
+
+# ---------------------------------------------------------------------------
+# The tainted-set shortcuts against the full scans they replace
+# ---------------------------------------------------------------------------
+
+def _scan_best_unvisited(state, v):
+    """Reference: every unvisited u != v with a free edge from v, best by
+    (highest opponent degree, lowest index)."""
+    best = None
+    for u in state.unvisited:
+        if u != v and state.is_free(v, u):
+            key = (-state.deg_b[u], u)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1]
+
+
+def _scan_chase(state):
+    """Reference pursuit choice from full scans; None where chase_move
+    would relocate or raise."""
+    w = state.maker_pos
+    unvisited = state.unvisited
+    for a, b in reversed(state.breaker_edges):
+        if a in unvisited and b in unvisited:
+            ends = [e for e in (a, b) if state.is_free(w, e)]
+            if ends:
+                return Move.claim(max(ends, key=lambda e: (state.deg_b[e], -e)))
+    target = _scan_best_unvisited(state, w)
+    return None if target is None else Move.claim(target)
+
+
+def _scan_greedy(state):
+    """Reference greedy Breaker move from one scan of every vertex."""
+    pos = state.breaker_pos
+    best = None
+    traverse = None
+    for t in range(state.n):
+        if t == pos:
+            continue
+        o = state.owner(pos, t)
+        if o == FREE:
+            key = (0 if t in state.unvisited else 1, -state.deg_b[t], t)
+            if best is None or key < best[0]:
+                best = (key, t)
+        elif o == BREAKER_OWNED and traverse is None:
+            traverse = t
+    if best is not None:
+        return Move.claim(best[1])
+    if traverse is not None:
+        return Move.traverse(traverse)
+    return Move.pass_()
+
+
+class TestTaintedShortcuts:
+    @pytest.mark.parametrize("breaker", ["random", "greedy"])
+    @pytest.mark.parametrize("bias", [(1, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("first", list(Player))
+    def test_match_full_scans_along_played_games(self, breaker, bias, first):
+        most_tainted = 0
+        for state in random_maker_states(breaker, bias, first):
+            n = state.n
+            most_tainted = max(most_tainted,
+                               len(state.unvisited & state.breaker_touched))
+            for v in range(n):
+                assert (_best_unvisited_target(state, v)
+                        == _scan_best_unvisited(state, v)), (v, state)
+            if state.breaker_pos is not None:
+                assert greedy_breaker_move(state) == _scan_greedy(state)
+            if state.maker_pos is not None:
+                expected = _scan_chase(state)
+                if expected is not None:
+                    assert chase_move(state, StrategyMemory()) == expected
+            visited = set(range(n)) - state.unvisited
+            for x in range(n):
+                opponents = {t for t in range(n) if t != x
+                             and state.owner(x, t) == BREAKER_OWNED}
+                for restrict in (state.unvisited, state.unvisited - {x},
+                                 visited, visited | {x}):
+                    assert (degree_b(state, x, restrict)
+                            == len(opponents & restrict))
+        assert most_tainted >= 5
+
+    def test_untouched_fallback_skips_the_origin(self):
+        # No Breaker edge reaches the unvisited set: the target is the
+        # lowest unvisited vertex other than the origin itself.
+        state = build_state(8, maker_edges=[(4, 5), (5, 6)],
+                            breaker_edges=[(4, 6)], maker_pos=6, breaker_pos=0)
+        assert _best_unvisited_target(state, 0) == 1
+        assert _best_unvisited_target(state, 1) == 0
+
+    def test_tainted_vertex_beats_lower_untouched_ones(self):
+        state = build_state(8, maker_edges=[(0, 1)],
+                            breaker_edges=[(6, 7), (5, 7)],
+                            maker_pos=1, breaker_pos=5)
+        assert _best_unvisited_target(state, 1) == 7
+        # From 7 both tainted neighbours are the Breaker's: fall back.
+        assert _best_unvisited_target(state, 7) == 2

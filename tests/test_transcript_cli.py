@@ -454,9 +454,27 @@ class TestExitCodes:
         assert f" {field} must be" in err
 
     def test_solver_node_limit_exits_4(self, capsys):
-        code = cli.main(["solve", "--n", "4", "--node-limit", "50"])
+        # One node short of what the solve takes, wherever pruning sets it.
+        assert cli.main(["solve", "--n", "4", "--json"]) == 0
+        nodes = json.loads(capsys.readouterr().out)["nodes"]
+        code = cli.main(["solve", "--n", "4", "--node-limit", str(nodes - 1)])
         assert code == 4
         assert "error[solver-limit]" in capsys.readouterr().err
+        code = cli.main(["solve", "--n", "4", "--node-limit", str(nodes)])
+        assert code == 0
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_board_above_the_ceiling_exits_4(self, command, capsys):
+        assert cli.main([command, "--n", "5000"]) == 4
+        assert "error[value]" in capsys.readouterr().err
+
+    def test_transcript_board_above_the_ceiling_exits_4(self, tmp_path,
+                                                         capsys):
+        text = _game(n=6, seed=1).transcript.dumps()
+        path = tmp_path / "huge.jsonl"
+        path.write_text(_mutate_line(text, 0, lambda o: o.update(n=1000000)))
+        assert cli.main(["replay", str(path)]) == 4
+        assert "error[header]" in capsys.readouterr().err
 
     def test_oversized_solve_board_exits_4(self, capsys):
         code = cli.main(["solve", "--n", "6"])
