@@ -31,7 +31,6 @@ from .engine import (
     degree_m,
     hamilton_won,
     legal_moves,
-    maker_move_count,
     new_game,
 )
 from .monitors import MonitorSuite
@@ -72,7 +71,7 @@ __all__ = [
     "Bias", "GameState", "IllegalMoveError", "MalformedCertificateError",
     "Move", "MoveKind", "Player", "apply_move",
     "connectivity_won", "degree_b", "degree_m", "hamilton_won",
-    "legal_moves", "maker_move_count", "new_game",
+    "legal_moves", "new_game",
     "MonitorSuite",
     "OracleLimitError", "SolveResult", "cross_validate", "solve",
     "solve_from_state",

@@ -33,9 +33,9 @@ import traceback
 from typing import Optional
 
 from .engine import GOALS, Player
+from .monitors import DEFAULT_N0
 from .oracle import ORACLE_MAX_N, OracleLimitError, cross_validate, solve
 from .runner import (
-    DEFAULT_N0,
     GameConfig,
     GameResult,
     ReplayMismatchError,

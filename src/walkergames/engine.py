@@ -131,7 +131,6 @@ class GameState:
     breaker_pos: Optional[int]
     unvisited: set          # vertices incident to no Maker edge
     breaker_touched: set    # vertices incident to at least one Breaker edge
-    deg_m: list
     deg_b: list
     maker_edges: list       # (low, high) pairs in claim order
     breaker_edges: list
@@ -156,6 +155,9 @@ class GameState:
 # about 8 MB at this size, and every move copies it.
 MAX_N = 4096
 
+# The default Maker move cap, in play and in the exact solver, is this times n.
+DEFAULT_MOVE_CAP_FACTOR = 10
+
 
 def new_game(n: int, bias: Bias = Bias(1, 1),
              first_player: Player = Player.BREAKER) -> GameState:
@@ -179,7 +181,6 @@ def new_game(n: int, bias: Bias = Bias(1, 1),
         breaker_pos=None,
         unvisited=set(range(n)),
         breaker_touched=set(),
-        deg_m=[0] * n,
         deg_b=[0] * n,
         maker_edges=[],
         breaker_edges=[],
@@ -282,7 +283,6 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
     edges = bytearray(state.edges)
     unvisited = state.unvisited
     breaker_touched = state.breaker_touched
-    deg_m = state.deg_m
     deg_b = state.deg_b
     maker_edges = state.maker_edges
     breaker_edges = state.breaker_edges
@@ -291,9 +291,6 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
         a, b = claimed
         edges[edge_index(n, a, b)] = own
         if player is Player.MAKER:
-            deg_m = list(deg_m)
-            deg_m[a] += 1
-            deg_m[b] += 1
             unvisited = set(unvisited)
             unvisited.discard(a)
             unvisited.discard(b)
@@ -342,7 +339,6 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
         breaker_pos=breaker_pos,
         unvisited=unvisited,
         breaker_touched=breaker_touched,
-        deg_m=deg_m,
         deg_b=deg_b,
         maker_edges=maker_edges,
         breaker_edges=breaker_edges,
@@ -382,10 +378,11 @@ def degree_b(state: GameState, x: int, restrict: Optional[Iterable[int]] = None)
 
 
 def degree_m(state: GameState, x: int, restrict: Optional[Iterable[int]] = None) -> int:
-    """Maker degree of x, optionally counting only neighbours in ``restrict``."""
-    if restrict is None:
-        return state.deg_m[x]
+    """Maker degree of x, optionally counting only neighbours in ``restrict``,
+    counted from the edge store."""
     n = state.n
+    if restrict is None:
+        restrict = range(n)
     edges = state.edges
     return sum(
         1 for t in restrict
@@ -466,64 +463,6 @@ def hamilton_won(state: GameState, certificate: Optional[Sequence[int]] = None) 
         return False
 
     return extend(start, 1)
-
-
-def maker_move_count(transcript) -> int:
-    """Number of non-pass Maker entries in a transcript or entry list."""
-    entries = getattr(transcript, "entries", transcript)
-    count = 0
-    for e in entries:
-        player = e["player"] if isinstance(e, dict) else e.player
-        kind = e["kind"] if isinstance(e, dict) else e.kind
-        if player == Player.MAKER.value and kind != MoveKind.PASS.value:
-            count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
-# Consistency helpers (used by invariant tests and assert snapshots)
-# ---------------------------------------------------------------------------
-
-def recomputed_unvisited(state: GameState) -> set:
-    touched = set()
-    for a, b in state.maker_edges:
-        touched.add(a)
-        touched.add(b)
-    return set(range(state.n)) - touched
-
-
-def recomputed_breaker_touched(state: GameState) -> set:
-    touched = set()
-    for a, b in state.breaker_edges:
-        touched.add(a)
-        touched.add(b)
-    return touched
-
-
-def recomputed_degrees(state: GameState) -> tuple:
-    deg_m = [0] * state.n
-    deg_b = [0] * state.n
-    for i, o in enumerate(state.edges):
-        if o == FREE:
-            continue
-        a, b = _edge_from_index(state.n, i)
-        if o == MAKER_OWNED:
-            deg_m[a] += 1
-            deg_m[b] += 1
-        else:
-            deg_b[a] += 1
-            deg_b[b] += 1
-    return deg_m, deg_b
-
-
-def _edge_from_index(n: int, idx: int) -> tuple:
-    a = 0
-    row = n - 1
-    while idx >= row:
-        idx -= row
-        a += 1
-        row -= 1
-    return a, a + 1 + idx
 
 
 def snapshot(state: GameState) -> dict:

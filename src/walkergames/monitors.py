@@ -9,7 +9,8 @@ counted and reported, and the caller decides whether to abort.
 The suite arms itself only for the setting the guarantees cover:
 pursuit-based Maker, one move per side per turn, Breaker moving first,
 and a board no smaller than the configured floor size. Anything else
-leaves every check dormant and the report marked unarmed.
+leaves every check dormant and the report marked unarmed. A suite
+built with monitoring off observes nothing and reports None.
 
 Checks
 ------
@@ -55,6 +56,7 @@ CHECK_NAMES = (
 )
 
 FIRST_VISIT_DEGREE_LIMIT = 6
+DEFAULT_N0 = 20  # the smallest board the suite arms on, unless set otherwise
 
 
 @dataclass
@@ -161,12 +163,12 @@ class MonitorSuite:
     """Observes applied moves and scores the guarantee checks."""
 
     def __init__(self, n: int, maker_id: str, bias: Bias,
-                 first_player: Player, n0: int = 20, enabled: bool = True):
+                 first_player: Player, n0: int = DEFAULT_N0,
+                 enabled: bool = True):
         self.n = n
         self.maker_id = maker_id
         self.bias = bias
         self.first_player = first_player
-        self.n0 = n0
         self.enabled = enabled
         self.armed = (enabled
                       and n >= n0
@@ -336,7 +338,10 @@ class MonitorSuite:
                     best = (name, s.first_violation_round)
         return best
 
-    def report(self) -> dict:
+    def report(self) -> Optional[dict]:
+        """The check results, or None when monitoring is off."""
+        if not self.enabled:
+            return None
         return {
             "armed": self.armed,
             "maker": self.maker_id,

@@ -59,6 +59,7 @@ from typing import Optional
 
 from .engine import (
     BREAKER_OWNED,
+    DEFAULT_MOVE_CAP_FACTOR,
     GOALS,
     MAKER_OWNED,
     Bias,
@@ -391,7 +392,8 @@ def solve_from_state(state: GameState, goal: str,
         raise ValueError("exact solving covers one move per side per turn")
     if state.moves_left_in_turn != state.bias.per_turn(state.to_move):
         raise ValueError("exact solving starts at a turn boundary")
-    cap = move_cap if move_cap is not None else 10 * state.n
+    cap = (move_cap if move_cap is not None
+           else DEFAULT_MOVE_CAP_FACTOR * state.n)
     remaining = max(cap - state.maker_moves, 0)
     solver = _Solver(state.n, goal, node_limit)
     position = _internal_from_state(state)

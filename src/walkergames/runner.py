@@ -9,7 +9,9 @@ proof of play.
 
 Outcome rules, stated once in ``deduce_outcome``: the runner calls it
 after every move and stops at the first verdict other than
-"incomplete", and the replayer calls it on the replayed final position.
+"incomplete". Every verdict persists once reached, so the replayer
+calls it twice: just before the last recorded event, where the game
+must still be running, and on the replayed final position.
 
 * a strategy assertion ends the game immediately, Breaker wins;
 * otherwise the goal predicate on the final position decides a Maker
@@ -19,7 +21,9 @@ after every move and stops at the first verdict other than
 * otherwise, in strict-monitor runs a violation ends the game with no
   winner ("monitor");
 * otherwise reaching the Maker move cap is a Breaker win ("cap");
-* otherwise a full cycle of passes is a Breaker win ("blocked").
+* otherwise a Maker walled out, still unplaced while the Breaker owns
+  every edge, is a Breaker win ("blocked"). From there the Maker can
+  only pass, and her passes never reach the cap.
 
 Randomized policies draw from two disjoint streams derived from the
 one game seed, so a (header, seed) pair pins every byte of the
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import (
+    DEFAULT_MOVE_CAP_FACTOR,
     GOALS,
     HAMILTON_SEARCH_LIMIT,
     Bias,
@@ -42,15 +47,13 @@ from .engine import (
     Player,
     apply_move,
     connectivity_won,
+    edge_count,
     hamilton_won,
     new_game,
 )
-from .monitors import MonitorSuite
+from .monitors import DEFAULT_N0, MonitorSuite
 from .strategies import StrategyAssertionError, make_policy
 from .transcript import Footer, Header, MoveRecord, Transcript
-
-DEFAULT_MOVE_CAP_FACTOR = 10
-DEFAULT_N0 = 20
 
 
 class ReplayMismatchError(Exception):
@@ -106,15 +109,9 @@ def _goal_reached(goal: str, maker_id: str, state: GameState,
     return False
 
 
-def _trailing_pass_cycle(entries: list, cycle_len: int) -> bool:
-    if len(entries) < cycle_len:
-        return False
-    return all(e.kind == MoveKind.PASS.value for e in entries[-cycle_len:])
-
-
 def deduce_outcome(header: Header, final_state: GameState,
                    certificate: Optional[list], assertion_present: bool,
-                   monitor_violation: bool, entries: list) -> tuple:
+                   monitor_violation: bool) -> tuple:
     """(winner, reason) from the recorded evidence alone."""
     if assertion_present:
         return ("breaker", "assertion")
@@ -124,10 +121,24 @@ def deduce_outcome(header: Header, final_state: GameState,
         return ("none", "monitor")
     if final_state.maker_moves >= header.move_cap:
         return ("breaker", "cap")
-    cycle_len = header.bias[0] + header.bias[1]
-    if _trailing_pass_cycle(entries, cycle_len):
+    if (final_state.maker_pos is None
+            and len(final_state.breaker_edges) == edge_count(final_state.n)):
         return ("breaker", "blocked")
     return ("none", "incomplete")
+
+
+def _footer(winner: str, reason: str, state: GameState, suite: MonitorSuite,
+            certificate: Optional[list], assertion: Optional[dict]) -> Footer:
+    return Footer(
+        winner=winner,
+        reason=reason,
+        maker_move_count=state.maker_moves,
+        breaker_move_count=state.breaker_moves,
+        passes=state.passes,
+        monitors=suite.report(),
+        certificate=certificate,
+        assertion=assertion,
+    )
 
 
 def _record_for(entries: list, before: GameState, player: Player,
@@ -204,13 +215,12 @@ def run_game(config: GameConfig,
             before = state
             state = apply_move(state, player, move)
             entries.append(_record_for(entries, before, player, move))
-            if config.monitors:
-                suite.observe(before, move, state)
+            suite.observe(before, move, state)
             if certificate_of is not None:
                 certificate = certificate_of()
         winner, reason = deduce_outcome(
             header, state, certificate, assertion is not None,
-            config.monitors and suite.has_violations(), entries)
+            suite.has_violations())
         if certificate is not None and reason != "goal":
             raise RuntimeError(
                 "internal error: constructed cycle failed certificate "
@@ -218,16 +228,8 @@ def run_game(config: GameConfig,
         if reason != "incomplete":
             break
 
-    footer = Footer(
-        winner=winner,
-        reason=reason,
-        maker_move_count=state.maker_moves,
-        breaker_move_count=state.breaker_moves,
-        passes=state.passes,
-        monitors=suite.report() if config.monitors else None,
-        certificate=certificate,
-        assertion=assertion.to_json() if assertion is not None else None,
-    )
+    footer = _footer(winner, reason, state, suite, certificate,
+                     assertion.to_json() if assertion is not None else None)
     transcript = Transcript(header=header, entries=entries, footer=footer)
     return GameResult(
         winner=winner,
@@ -241,29 +243,58 @@ def run_game(config: GameConfig,
 
 
 def _move_from_record(rec: MoveRecord) -> Move:
-    if rec.kind == MoveKind.PLACE.value:
-        if rec.from_vertex is None or rec.to_vertex is None:
-            raise ReplayMismatchError(
-                "illegal-recorded-move",
-                f"entry {rec.index}: placement needs both endpoints")
-        return Move.place(rec.from_vertex, rec.to_vertex)
-    if rec.kind == MoveKind.CLAIM.value:
-        if rec.to_vertex is None:
-            raise ReplayMismatchError(
-                "illegal-recorded-move",
-                f"entry {rec.index}: claim needs a target")
-        return Move.claim(rec.to_vertex)
-    if rec.kind == MoveKind.TRAVERSE.value:
-        if rec.to_vertex is None:
-            raise ReplayMismatchError(
-                "illegal-recorded-move",
-                f"entry {rec.index}: traversal needs a target")
-        return Move.traverse(rec.to_vertex)
-    if rec.kind == MoveKind.PASS.value:
+    try:
+        kind = MoveKind(rec.kind)
+    except ValueError as exc:
+        raise ReplayMismatchError(
+            "illegal-recorded-move",
+            f"entry {rec.index}: unknown move kind {rec.kind!r}") from exc
+    if kind is MoveKind.PASS:
         return Move.pass_()
-    raise ReplayMismatchError(
-        "illegal-recorded-move",
-        f"entry {rec.index}: unknown move kind {rec.kind!r}")
+    placing = kind is MoveKind.PLACE
+    if rec.to_vertex is None or placing and rec.from_vertex is None:
+        raise ReplayMismatchError(
+            "illegal-recorded-move",
+            f"entry {rec.index}: {kind.value} needs "
+            f"{'both endpoints' if placing else 'a target'}")
+    return Move(kind, rec.from_vertex if placing else None, rec.to_vertex)
+
+
+def _replay_entry(state: GameState, rec: MoveRecord,
+                  suite: MonitorSuite) -> GameState:
+    """Check one recorded move against the engine and apply it."""
+    try:
+        player = Player(rec.player)
+    except ValueError as exc:
+        raise ReplayMismatchError(
+            "illegal-recorded-move",
+            f"entry {rec.index}: unknown player {rec.player!r}") from exc
+    if player is not state.to_move:
+        raise ReplayMismatchError(
+            "illegal-recorded-move",
+            f"entry {rec.index}: recorded mover {rec.player} but "
+            f"{state.to_move.value} is to move")
+    if rec.round != state.round:
+        raise ReplayMismatchError(
+            "illegal-recorded-move",
+            f"entry {rec.index}: recorded round {rec.round}, engine "
+            f"round {state.round}")
+    move = _move_from_record(rec)
+    expected_origin = (move.start if move.kind is MoveKind.PLACE
+                       else state.position(player))
+    if rec.from_vertex != expected_origin:
+        raise ReplayMismatchError(
+            "illegal-recorded-move",
+            f"entry {rec.index}: recorded origin {rec.from_vertex}, "
+            f"engine position {expected_origin}")
+    try:
+        after = apply_move(state, player, move)
+    except IllegalMoveError as exc:
+        raise ReplayMismatchError(
+            "illegal-recorded-move",
+            f"entry {rec.index}: {exc}") from exc
+    suite.observe(state, move, after)
+    return after
 
 
 def replay_transcript(transcript: Transcript) -> dict:
@@ -281,99 +312,59 @@ def replay_transcript(transcript: Transcript) -> dict:
         raise ReplayMismatchError("header", str(exc)) from exc
     if header.goal not in GOALS:
         raise ReplayMismatchError("header", f"unknown goal {header.goal!r}")
-
-    suite = MonitorSuite(header.n, header.maker, bias, first,
-                         n0=header.n0, enabled=header.monitors)
-    for rec in transcript.entries:
-        try:
-            player = Player(rec.player)
-        except ValueError as exc:
-            raise ReplayMismatchError(
-                "illegal-recorded-move",
-                f"entry {rec.index}: unknown player {rec.player!r}") from exc
-        if player is not state.to_move:
-            raise ReplayMismatchError(
-                "illegal-recorded-move",
-                f"entry {rec.index}: recorded mover {rec.player} but "
-                f"{state.to_move.value} is to move")
-        if rec.round != state.round:
-            raise ReplayMismatchError(
-                "illegal-recorded-move",
-                f"entry {rec.index}: recorded round {rec.round}, engine "
-                f"round {state.round}")
-        move = _move_from_record(rec)
-        expected_origin = (move.start if move.kind is MoveKind.PLACE
-                           else state.position(player))
-        if rec.from_vertex != expected_origin:
-            raise ReplayMismatchError(
-                "illegal-recorded-move",
-                f"entry {rec.index}: recorded origin {rec.from_vertex}, "
-                f"engine position {expected_origin}")
-        before = state
-        try:
-            state = apply_move(state, player, move)
-        except IllegalMoveError as exc:
-            raise ReplayMismatchError(
-                "illegal-recorded-move",
-                f"entry {rec.index}: {exc}") from exc
-        if header.monitors:
-            suite.observe(before, move, state)
-
     footer = transcript.footer
     if footer is None:
         raise ReplayMismatchError(
             "footer-mismatch", "transcript has no footer record")
     certificate = footer.certificate
     if certificate is not None:
+        # On the empty board a well-formed certificate is simply false, so
+        # this checks its form before any outcome is deduced from it.
         try:
-            cert_ok = hamilton_won(state, certificate)
+            hamilton_won(state, certificate)
         except MalformedCertificateError as exc:
             raise ReplayMismatchError(
                 "footer-mismatch", f"certificate malformed: {exc}") from exc
-        if not cert_ok:
-            raise ReplayMismatchError(
-                "footer-mismatch",
-                "recorded certificate is not a claimed Hamilton cycle")
 
-    monitor_violation = header.monitors and suite.has_violations()
-    winner, reason = deduce_outcome(header, state, certificate,
-                                    footer.assertion is not None,
-                                    monitor_violation, transcript.entries)
-    expected = {
-        "winner": winner,
-        "reason": reason,
-        "maker_move_count": state.maker_moves,
-        "breaker_move_count": state.breaker_moves,
-        "passes": state.passes,
-    }
-    recorded = {
-        "winner": footer.winner,
-        "reason": footer.reason,
-        "maker_move_count": footer.maker_move_count,
-        "breaker_move_count": footer.breaker_move_count,
-        "passes": footer.passes,
-    }
-    for key in expected:
-        if expected[key] != recorded[key]:
-            raise ReplayMismatchError(
-                "footer-mismatch",
-                f"{key}: recorded {recorded[key]!r}, re-derived "
-                f"{expected[key]!r}")
-    if header.monitors:
-        if footer.monitors != suite.report():
-            raise ReplayMismatchError(
-                "footer-mismatch",
-                "monitor report differs from re-derived report")
-    elif footer.monitors is not None:
+    suite = MonitorSuite(header.n, header.maker, bias, first,
+                         n0=header.n0, enabled=header.monitors)
+    # The game must still be running just before its last event: the last
+    # entry, or the assertion recorded after all entries.
+    entries = transcript.entries
+    last = len(entries) if footer.assertion is not None else len(entries) - 1
+    for rec in entries[:last]:
+        state = _replay_entry(state, rec, suite)
+    winner, reason = deduce_outcome(header, state, certificate, False,
+                                    suite.has_violations())
+    if reason != "incomplete":
+        raise ReplayMismatchError(
+            "illegal-recorded-move",
+            f"the game ended ({winner}/{reason}) before its last event")
+    for rec in entries[last:]:
+        state = _replay_entry(state, rec, suite)
+
+    if certificate is not None and not hamilton_won(state, certificate):
         raise ReplayMismatchError(
             "footer-mismatch",
-            "monitor report present in an unmonitored game")
+            "recorded certificate is not a claimed Hamilton cycle")
+    winner, reason = deduce_outcome(header, state, certificate,
+                                    footer.assertion is not None,
+                                    suite.has_violations())
+    derived = _footer(winner, reason, state, suite, certificate,
+                      footer.assertion)
+    for key in Footer.__slots__:
+        recorded, expected = getattr(footer, key), getattr(derived, key)
+        if recorded != expected:
+            detail = ("monitor report differs from the re-derived report"
+                      if key == "monitors" else
+                      f"recorded {recorded!r}, re-derived {expected!r}")
+            raise ReplayMismatchError("footer-mismatch", f"{key}: {detail}")
     return {
         "ok": True,
-        "entries": len(transcript.entries),
+        "entries": len(entries),
         "winner": winner,
         "reason": reason,
         "maker_move_count": state.maker_moves,
-        "monitor_report": suite.report() if header.monitors else None,
+        "monitor_report": derived.monitors,
         "assertion": footer.assertion,
     }

@@ -81,8 +81,7 @@ class StrategyMemory:
 
     ``designated`` holds named working vertices and flags specific to a
     policy (endgame tails, splice triples, protected vertices, script
-    cursors). ``notes`` records fallbacks the policy had to take outside
-    its main line.
+    cursors).
     """
 
     rng_seed: int = 0
@@ -91,7 +90,6 @@ class StrategyMemory:
     cycle_order: Optional[list] = None
     start_vertex: Optional[int] = None
     designated: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
     rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -108,7 +106,7 @@ def _opening_move(state: GameState, mem: StrategyMemory) -> Move:
     Partner vertex: an unvisited vertex of opponent degree zero, lowest
     index. If the Maker opens the game there is no opponent move yet;
     vertices 0 and 1 are used. Degraded boards fall back to the nearest
-    workable placement and record a note.
+    workable placement.
     """
     if state.breaker_pos is None:
         mem.start_vertex = 0
@@ -124,13 +122,10 @@ def _opening_move(state: GameState, mem: StrategyMemory) -> Move:
             best = (key, u)
     if best is not None:
         u = best[1]
-        if state.deg_b[u] != 0:
-            mem.notes.append("opening: no opponent-degree-zero partner, took minimum")
         mem.start_vertex = v1
         mem.path_order = [v1, u]
         return Move.place(v1, u)
     # No free edge from the opponent's end vertex into the unvisited set.
-    mem.notes.append("opening: start vertex blocked, fell back to first free placement")
     for t in range(state.n):
         if t != v1 and state.is_free(v1, t):
             mem.start_vertex = v1
@@ -585,7 +580,6 @@ def delaying_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
             other = b if pos == a else a
             if state.is_free(pos, other):
                 return Move.claim(other)
-            mem.notes.append("delay: pair edge unavailable from inside the pair")
             return wander()
         for u in pair:
             if state.is_free(pos, u):
@@ -593,7 +587,6 @@ def delaying_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
         for u in pair:
             if state.owner(pos, u) == BREAKER_OWNED:
                 return Move.traverse(u)
-        mem.notes.append("delay: could not reach either surviving vertex")
         return wander()
 
     if prev == 2 and len(unvisited) == 1 and named.get("pair"):
@@ -602,8 +595,6 @@ def delaying_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
             other = b if pos == a else a
             if state.is_free(pos, other):
                 return Move.claim(other)
-        mem.notes.append("delay: blocking edge between the final pair unavailable")
-        return wander()
 
     return wander()
 
@@ -624,10 +615,7 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
     if "target" not in named:
         if mpos is None:
             # Opponent has not placed yet; make a neutral move.
-            if pos is None:
-                return legal_moves(state, Player.BREAKER)[0]
-            moves = legal_moves(state, Player.BREAKER)
-            return moves[0]
+            return legal_moves(state, Player.BREAKER)[0]
         named["target"] = max(state.unvisited)
     z = named["target"]
 
@@ -640,7 +628,7 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
             return Move.traverse(z)
         if o == FREE:
             return Move.claim(z)
-        mem.notes.append("fence: home edge lost, protected vertex was reached")
+        # Home edge lost: the protected vertex was reached.
         return legal_moves(state, Player.BREAKER)[0]
 
     if mpos is not None and mpos != z and state.is_free(z, mpos):
@@ -768,10 +756,6 @@ def scripted_move(state: GameState, mem: StrategyMemory) -> Move:
 # Registry
 # ---------------------------------------------------------------------------
 
-MAKER_IDS = ("chase", "connectivity", "hamilton", "random", "scripted")
-BREAKER_IDS = ("random", "greedy", "delaying", "delaying-greedy", "camper",
-               "isolating", "scripted")
-
 # Makers built on the pursuit policy: the invariant monitors arm only
 # for these.
 S_BASED_MAKERS = frozenset({"chase", "connectivity", "hamilton"})
@@ -803,38 +787,46 @@ def _rng_seed_for(player: Player, seed: int) -> int:
     return 2 * seed + (1 if player is Player.MAKER else 0)
 
 
+def _random_move(state: GameState, mem: StrategyMemory) -> Move:
+    return random_walker_move(state, mem.rng)
+
+
+# Each side's strategy ids, in the order the command line lists them,
+# mapped to their move functions.
+MAKER_POLICIES = {
+    "chase": chase_move,
+    "connectivity": connectivity_maker_move,
+    "hamilton": hamilton_maker_move,
+    "random": _random_move,
+    "scripted": scripted_move,
+}
+BREAKER_POLICIES = {
+    "random": _random_move,
+    "greedy": lambda state, mem: greedy_breaker_move(state),
+    "delaying": delaying_breaker_move,
+    "delaying-greedy": delaying_breaker_move,  # wanders greedily
+    "camper": camper_breaker_move,
+    "isolating": isolating_breaker2_move,
+    "scripted": scripted_move,
+}
+MAKER_IDS = tuple(MAKER_POLICIES)
+BREAKER_IDS = tuple(BREAKER_POLICIES)
+
+
 def make_policy(player: Player, name: str, seed: int,
                 script_text: Optional[str] = None) -> Policy:
     """Construct a policy by id. Raises ValueError for unknown ids and
     ScriptError for scripted policies with a bad or missing script."""
-    valid = MAKER_IDS if player is Player.MAKER else BREAKER_IDS
-    if name not in valid:
+    policies = MAKER_POLICIES if player is Player.MAKER else BREAKER_POLICIES
+    if name not in policies:
         raise ValueError(f"unknown {player.value} strategy {name!r}; "
-                         f"choose from {', '.join(valid)}")
+                         f"choose from {', '.join(policies)}")
     mem = StrategyMemory(rng_seed=_rng_seed_for(player, seed))
     if name == "scripted":
         if script_text is None:
             raise ScriptError("scripted strategy needs a script")
         mem.designated["script"] = parse_script(script_text)
         mem.designated["cursor"] = 0
-        fn = scripted_move
-    elif name == "random":
-        fn = lambda s, m: random_walker_move(s, m.rng)
-    elif name == "chase":
-        fn = chase_move
-    elif name == "connectivity":
-        fn = connectivity_maker_move
-    elif name == "hamilton":
-        fn = hamilton_maker_move
-    elif name == "greedy":
-        fn = lambda s, m: greedy_breaker_move(s)
-    elif name == "delaying":
-        fn = delaying_breaker_move
     elif name == "delaying-greedy":
         mem.designated["phase1"] = "greedy"
-        fn = delaying_breaker_move
-    elif name == "camper":
-        fn = camper_breaker_move
-    else:  # isolating
-        fn = isolating_breaker2_move
-    return Policy(name=name, player=player, memory=mem, _fn=fn)
+    return Policy(name=name, player=player, memory=mem, _fn=policies[name])

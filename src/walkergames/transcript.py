@@ -23,13 +23,17 @@ def canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _int_field(value, what: str, nullable: bool = False) -> Optional[int]:
-    """``value`` when it is an int (not a bool), or None where allowed."""
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _typed(value, what: str, kind: type = int, nullable: bool = False):
+    """``value`` when its type is exactly ``kind`` (so a bool is no int),
+    or None where allowed."""
     if value is None and nullable:
         return None
-    if not isinstance(value, int) or isinstance(value, bool):
-        kind = "an integer or null" if nullable else "an integer"
-        raise TranscriptFormatError(f"{what} must be {kind}, got {value!r}")
+    if type(value) is not kind:
+        name = _TYPE_NAMES[kind] + (" or null" if nullable else "")
+        raise TranscriptFormatError(f"{what} must be {name}, got {value!r}")
     return value
 
 
@@ -47,22 +51,11 @@ class Header:
     monitors: bool
     strict: bool
 
+    # Each field is written under its own name as the JSON key.
     def to_json(self) -> dict:
-        return {
-            "record": "header",
-            "format": FORMAT,
-            "n": self.n,
-            "bias": list(self.bias),
-            "first_player": self.first_player,
-            "maker": self.maker,
-            "breaker": self.breaker,
-            "goal": self.goal,
-            "seed": self.seed,
-            "move_cap": self.move_cap,
-            "n0": self.n0,
-            "monitors": self.monitors,
-            "strict": self.strict,
-        }
+        obj = {key: getattr(self, key) for key in Header.__slots__}
+        obj.update(record="header", format=FORMAT, bias=list(self.bias))
+        return obj
 
     @staticmethod
     def from_json(obj: dict) -> "Header":
@@ -70,18 +63,22 @@ class Header:
         if not isinstance(bias, list) or len(bias) != 2:
             raise TranscriptFormatError(
                 f"header bias must be a pair of integers, got {bias!r}")
+        move_cap = _typed(obj["move_cap"], "header move_cap")
+        if move_cap < 1:
+            raise TranscriptFormatError(
+                f"header move_cap must be at least 1, got {move_cap}")
         return Header(
-            n=_int_field(obj["n"], "header n"),
-            bias=tuple(_int_field(b, "header bias entry") for b in bias),
-            first_player=obj["first_player"],
-            maker=obj["maker"],
-            breaker=obj["breaker"],
-            goal=obj["goal"],
-            seed=_int_field(obj["seed"], "header seed"),
-            move_cap=_int_field(obj["move_cap"], "header move_cap"),
-            n0=_int_field(obj["n0"], "header n0"),
-            monitors=obj["monitors"],
-            strict=obj["strict"],
+            n=_typed(obj["n"], "header n"),
+            bias=tuple(_typed(b, "header bias entry") for b in bias),
+            first_player=_typed(obj["first_player"], "header first_player", str),
+            maker=_typed(obj["maker"], "header maker", str),
+            breaker=_typed(obj["breaker"], "header breaker", str),
+            goal=_typed(obj["goal"], "header goal", str),
+            seed=_typed(obj["seed"], "header seed"),
+            move_cap=move_cap,
+            n0=_typed(obj["n0"], "header n0"),
+            monitors=_typed(obj["monitors"], "header monitors", bool),
+            strict=_typed(obj["strict"], "header strict", bool),
         )
 
 
@@ -108,12 +105,12 @@ class MoveRecord:
     @staticmethod
     def from_json(obj: dict) -> "MoveRecord":
         return MoveRecord(
-            index=_int_field(obj["index"], "move index"),
-            round=_int_field(obj["round"], "move round"),
+            index=_typed(obj["index"], "move index"),
+            round=_typed(obj["round"], "move round"),
             player=obj["player"],
             kind=obj["kind"],
-            from_vertex=_int_field(obj["from"], "move from", nullable=True),
-            to_vertex=_int_field(obj["to"], "move to", nullable=True),
+            from_vertex=_typed(obj["from"], "move from", nullable=True),
+            to_vertex=_typed(obj["to"], "move to", nullable=True),
         )
 
 
@@ -128,31 +125,15 @@ class Footer:
     certificate: Optional[list]    # Hamilton cycle order, when claimed
     assertion: Optional[dict]      # strategy assertion payload, if raised
 
+    # Each field is written under its own name as the JSON key.
     def to_json(self) -> dict:
-        return {
-            "record": "footer",
-            "winner": self.winner,
-            "reason": self.reason,
-            "maker_move_count": self.maker_move_count,
-            "breaker_move_count": self.breaker_move_count,
-            "passes": self.passes,
-            "monitors": self.monitors,
-            "certificate": self.certificate,
-            "assertion": self.assertion,
-        }
+        obj = {key: getattr(self, key) for key in Footer.__slots__}
+        obj["record"] = "footer"
+        return obj
 
     @staticmethod
     def from_json(obj: dict) -> "Footer":
-        return Footer(
-            winner=obj["winner"],
-            reason=obj["reason"],
-            maker_move_count=obj["maker_move_count"],
-            breaker_move_count=obj["breaker_move_count"],
-            passes=obj["passes"],
-            monitors=obj["monitors"],
-            certificate=obj["certificate"],
-            assertion=obj["assertion"],
-        )
+        return Footer(**{key: obj[key] for key in Footer.__slots__})
 
 
 @dataclass(slots=True)

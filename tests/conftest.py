@@ -79,10 +79,8 @@ def relabel_state(state: GameState, perm) -> GameState:
     for a in range(n):
         for b in range(a + 1, n):
             edges[edge_index(n, perm[a], perm[b])] = state.edges[edge_index(n, a, b)]
-    deg_m = [0] * n
     deg_b = [0] * n
     for v in range(n):
-        deg_m[perm[v]] = state.deg_m[v]
         deg_b[perm[v]] = state.deg_b[v]
 
     def pv(v):
@@ -100,7 +98,6 @@ def relabel_state(state: GameState, perm) -> GameState:
         breaker_pos=pv(state.breaker_pos),
         unvisited={perm[v] for v in state.unvisited},
         breaker_touched={perm[v] for v in state.breaker_touched},
-        deg_m=deg_m,
         deg_b=deg_b,
         maker_edges=pe(state.maker_edges),
         breaker_edges=pe(state.breaker_edges),
@@ -125,12 +122,9 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
     maker_edges = [tuple(sorted(e)) for e in maker_edges]
     breaker_edges = [tuple(sorted(e)) for e in breaker_edges]
     edges = bytearray(edge_count(n))
-    deg_m = [0] * n
     deg_b = [0] * n
     for a, b in maker_edges:
         edges[edge_index(n, a, b)] = MAKER_OWNED
-        deg_m[a] += 1
-        deg_m[b] += 1
     for a, b in breaker_edges:
         if edges[edge_index(n, a, b)] != FREE:
             raise ValueError(f"edge {a}-{b} assigned twice")
@@ -147,7 +141,6 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
         breaker_pos=breaker_pos,
         unvisited=set(range(n)) - touched,
         breaker_touched={v for e in breaker_edges for v in e},
-        deg_m=deg_m,
         deg_b=deg_b,
         maker_edges=maker_edges,
         breaker_edges=breaker_edges,
@@ -158,6 +151,49 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
         breaker_moves=len(breaker_edges),
         passes=0,
     )
+
+
+def recomputed_unvisited(state: GameState) -> set:
+    touched = set()
+    for a, b in state.maker_edges:
+        touched.add(a)
+        touched.add(b)
+    return set(range(state.n)) - touched
+
+
+def recomputed_breaker_touched(state: GameState) -> set:
+    touched = set()
+    for a, b in state.breaker_edges:
+        touched.add(a)
+        touched.add(b)
+    return touched
+
+
+def recomputed_degrees(state: GameState) -> tuple:
+    """(Maker degrees, Breaker degrees), counted from the edge store."""
+    deg_m = [0] * state.n
+    deg_b = [0] * state.n
+    for i, o in enumerate(state.edges):
+        if o == FREE:
+            continue
+        a, b = _edge_from_index(state.n, i)
+        if o == MAKER_OWNED:
+            deg_m[a] += 1
+            deg_m[b] += 1
+        else:
+            deg_b[a] += 1
+            deg_b[b] += 1
+    return deg_m, deg_b
+
+
+def _edge_from_index(n: int, idx: int) -> tuple:
+    a = 0
+    row = n - 1
+    while idx >= row:
+        idx -= row
+        a += 1
+        row -= 1
+    return a, a + 1 + idx
 
 
 def random_playout_states(n: int, seed: int, steps: int,

@@ -18,7 +18,8 @@ import pytest
 
 import walkergames
 from walkergames.engine import Player
-from walkergames.runner import GameConfig, run_game
+from walkergames.runner import GameConfig, replay_transcript, run_game
+from walkergames.transcript import parse_transcript
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LABEL = re.compile(r"n=(\d+) ([\w-]+)/(\w+) vs ([\w-]+) "
@@ -93,7 +94,8 @@ def test_big_board_pairs_at_n800_match_frozen_digests(maker, goal, breaker):
 # Every Maker against every Breaker at every bias, both first players,
 # on small boards: the cases the golden corpus leaves out. Random play
 # toward the Hamilton goal is left out because its exhaustive goal test
-# can run for minutes.
+# can run for minutes. Every game must also replay clean, which keeps
+# replay's checks from rejecting honest play.
 WIDE_MATRIX_DIGEST = (
     "7ad6a6e51ce7bb0d3fbfcd36847d8584f91132cdae817324c59bf3aba849f5cf")
 
@@ -113,7 +115,9 @@ def test_wide_transcript_matrix_matches_frozen_digest():
     for n, (maker, goal), breaker, bias, first, seed in matrix:
         config = GameConfig(n=n, maker=maker, goal=goal, breaker=breaker,
                             bias=bias, first_player=first, seed=seed)
-        digest.update(run_game(config).transcript.dumps().encode())
+        text = run_game(config).transcript.dumps()
+        replay_transcript(parse_transcript(text))
+        digest.update(text.encode())
     assert digest.hexdigest() == WIDE_MATRIX_DIGEST
 
 

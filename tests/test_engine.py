@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_candidate_moves, random_playout_states
+from conftest import (
+    all_candidate_moves,
+    random_playout_states,
+    recomputed_breaker_touched,
+    recomputed_degrees,
+    recomputed_unvisited,
+)
 from walkergames.engine import (
     BREAKER_OWNED,
     Bias,
@@ -25,11 +31,7 @@ from walkergames.engine import (
     edge_index,
     hamilton_won,
     legal_moves,
-    maker_move_count,
     new_game,
-    recomputed_breaker_touched,
-    recomputed_degrees,
-    recomputed_unvisited,
     snapshot,
 )
 
@@ -95,7 +97,7 @@ class TestLegalMoves:
             n=n, bias=Bias(1, 1), first_player=Player.BREAKER,
             edges=edges, maker_pos=0, breaker_pos=2,
             unvisited={0, 1, 2}, breaker_touched={0, 1, 2},
-            deg_m=[0, 0, 0], deg_b=[2, 1, 1],
+            deg_b=[2, 1, 1],
             maker_edges=[], breaker_edges=[(0, 1), (0, 2)],
             round=1, to_move=Player.MAKER, moves_left_in_turn=1,
             maker_moves=0, breaker_moves=2, passes=0)
@@ -266,24 +268,6 @@ class TestGoals:
             hamilton_won(state)
 
 
-class TestTranscriptCounting:
-    def test_maker_move_count_ignores_passes_and_breaker(self):
-        entries = [
-            {"player": "maker", "kind": "place"},
-            {"player": "breaker", "kind": "claim"},
-            {"player": "maker", "kind": "claim"},
-            {"player": "maker", "kind": "pass"},
-            {"player": "maker", "kind": "traverse"},
-        ]
-
-        class T:
-            pass
-
-        t = T()
-        t.entries = entries
-        assert maker_move_count(t) == 3
-
-
 class TestRecomputation:
     @pytest.mark.parametrize("seed", range(6))
     def test_incremental_fields_match_recomputation(self, seed):
@@ -291,7 +275,7 @@ class TestRecomputation:
             assert state.unvisited == recomputed_unvisited(state)
             assert state.breaker_touched == recomputed_breaker_touched(state)
             dm, db = recomputed_degrees(state)
-            assert list(state.deg_m) == dm
+            assert [degree_m(state, v) for v in range(state.n)] == dm
             assert list(state.deg_b) == db
 
     def test_unvisited_never_grows(self):

@@ -7,6 +7,7 @@ byte-identity of rerun transcripts.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 from conftest import traversing_deviant_maker
 
 from walkergames import cli
-from walkergames.engine import Player
+from walkergames.engine import MoveKind, Player, apply_move, legal_moves
 from walkergames.runner import (
     GameConfig,
     ReplayMismatchError,
@@ -26,6 +27,7 @@ from walkergames.runner import (
 from walkergames.strategies import make_policy, moves_to_script
 from walkergames.transcript import (
     FORMAT,
+    MoveRecord,
     Transcript,
     TranscriptFormatError,
     parse_transcript,
@@ -232,6 +234,29 @@ class TestReplay:
         assert err.value.kind == "footer-mismatch"
         assert "monitor report" in err.value.detail
 
+    def test_walled_out_maker_ends_the_game(self, tmp_path, capsys):
+        # The Breaker's three moves claim every edge before the Maker
+        # places, so she can only pass from then on. The wrapper turns a
+        # game that never ends into a failure.
+        greedy = make_policy(Player.BREAKER, "greedy", 0)
+        calls = []
+
+        def bounded_greedy(state):
+            calls.append(None)
+            if len(calls) > 200:
+                raise RuntimeError("the game did not end")
+            return greedy(state)
+
+        config = GameConfig(n=3, maker="connectivity", breaker="greedy",
+                            bias=(1, 3))
+        maker = make_policy(Player.MAKER, "connectivity", 0)
+        result = run_game(config, policies=(maker, bounded_greedy))
+        assert (result.winner, result.reason) == ("breaker", "blocked")
+        assert len(result.transcript.entries) == 3
+        path = tmp_path / "walled.jsonl"
+        write_transcript(str(path), result.transcript)
+        assert cli.main(["replay", str(path)]) == 0
+
     def test_missing_footer_detected(self):
         result = _game(seed=9)
         lines = result.transcript.dumps().strip().split("\n")
@@ -436,6 +461,14 @@ class TestExitCodes:
         (0, "n", "6"),
         (0, "bias", "11"),
         (0, "move_cap", "x"),
+        (0, "move_cap", 0),
+        (0, "move_cap", -5),
+        (0, "monitors", "yes"),
+        (0, "strict", 1),
+        (0, "maker", 123),
+        (0, "breaker", None),
+        (0, "first_player", 0),
+        (0, "goal", ["connectivity"]),
         (1, "index", False),
         (1, "round", "0"),
         (1, "to", 3.0),
@@ -452,6 +485,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error[transcript-format]" in err
         assert f" {field} must be" in err
+
+    def test_moves_recorded_after_the_cap_exit_4(self, tmp_path, capsys):
+        result = _game(n=6, seed=1)
+        assert result.transcript.header.move_cap == 60
+        assert result.maker_move_count > 3
+        path = tmp_path / "capped.jsonl"
+        path.write_text(_mutate_line(result.transcript.dumps(), 0,
+                                     lambda o: o.update(move_cap=3)))
+        assert cli.main(["replay", str(path)]) == 4
+        assert "error[illegal-recorded-move]" in capsys.readouterr().err
+
+    def test_moves_recorded_after_the_goal_exit_4(self, tmp_path, capsys):
+        # One legal move per side after the Maker's win, with the
+        # footer's counts bumped to match.
+        result = _game(n=6, seed=1)
+        assert result.reason == "goal"
+        state = result.final_state
+        entries = list(result.transcript.entries)
+        for _ in range(2):
+            player = state.to_move
+            move = legal_moves(state, player)[0]
+            entries.append(MoveRecord(
+                index=len(entries), round=state.round, player=player.value,
+                kind=move.kind.value,
+                from_vertex=(move.start if move.kind is MoveKind.PLACE
+                             else state.position(player)),
+                to_vertex=move.target))
+            state = apply_move(state, player, move)
+        assert state.maker_moves == result.maker_move_count + 1
+        footer = dataclasses.replace(
+            result.transcript.footer, maker_move_count=state.maker_moves,
+            breaker_move_count=state.breaker_moves, passes=state.passes)
+        path = tmp_path / "extended.jsonl"
+        write_transcript(str(path), Transcript(
+            header=result.transcript.header, entries=entries, footer=footer))
+        assert cli.main(["replay", str(path)]) == 4
+        assert "error[illegal-recorded-move]" in capsys.readouterr().err
 
     def test_solver_node_limit_exits_4(self, capsys):
         # One node short of what the solve takes, wherever pruning sets it.
