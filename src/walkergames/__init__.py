@@ -27,11 +27,13 @@ from .engine import (
     Player,
     apply_move,
     connectivity_won,
+    count_moves,
     degree_b,
     degree_m,
     hamilton_won,
     legal_moves,
     new_game,
+    nth_move,
 )
 from .monitors import MonitorSuite
 from .oracle import OracleLimitError, SolveResult, cross_validate, solve, solve_from_state
@@ -70,8 +72,8 @@ __all__ = [
     "BREAKER_OWNED", "FREE", "GOALS", "MAKER_OWNED",
     "Bias", "GameState", "IllegalMoveError", "MalformedCertificateError",
     "Move", "MoveKind", "Player", "apply_move",
-    "connectivity_won", "degree_b", "degree_m", "hamilton_won",
-    "legal_moves", "new_game",
+    "connectivity_won", "count_moves", "degree_b", "degree_m", "hamilton_won",
+    "legal_moves", "new_game", "nth_move",
     "MonitorSuite",
     "OracleLimitError", "SolveResult", "cross_validate", "solve",
     "solve_from_state",

@@ -12,6 +12,12 @@ The engine is policy-free: it defines state, legality, application,
 degree queries and win detection. Strategies, monitors, the exact
 solver and the CLI all build on it.
 
+Legal moves can be listed (``legal_moves``), counted (``count_moves``)
+or taken one at a time by index (``nth_move``), all in one order. Play
+counts and indexes, which reads one row of the edge store and builds
+one ``Move``; the list serves the tests, the Maker's blocked-endgame
+ranking and the random policy's placement draw.
+
 Conventions
 -----------
 * Vertices are integers 0..n-1. Edges are unordered pairs stored in
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -193,6 +200,38 @@ def new_game(n: int, bias: Bias = Bias(1, 1),
     )
 
 
+# Fills a vertex's own slot in an edge row; it matches no edge code.
+_SELF = b"\xff"
+
+
+def _row(state: GameState, v: int) -> bytes:
+    """The codes of the edges from v, indexed by their other end.
+
+    The edges {v, t} with t > v are one contiguous slice of the
+    triangular store. The edge {t, v} with t < v sits at slot v-1 for
+    t = 0, and each next t lies n-2-t slots further on.
+    """
+    n = state.n
+    edges = state.edges
+    lower = accumulate(range(n - 2, n - 1 - v, -1), initial=v - 1) if v else ()
+    base = v * (2 * n - v - 1) // 2
+    return bytes(map(edges.__getitem__, lower)) + _SELF + edges[base:base + n - 1 - v]
+
+
+def _move_groups(state: GameState, player: Player):
+    """The legal moves other than pass, as (kind, start, row, code) groups
+    in ``legal_moves`` order. A group's moves are ``Move(kind, start, t)``
+    for each target t, ascending, where ``row[t] == code``."""
+    if player is not state.to_move:
+        raise IllegalMoveError("wrong-player", f"{player.value} is not to move")
+    pos = state.position(player)
+    if pos is None:
+        return ((MoveKind.PLACE, s, _row(state, s), FREE) for s in range(state.n))
+    row = _row(state, pos)
+    return ((MoveKind.CLAIM, None, row, FREE),
+            (MoveKind.TRAVERSE, None, row, player.owns))
+
+
 def legal_moves(state: GameState, player: Player) -> list:
     """All legal moves for ``player``, in a fixed deterministic order.
 
@@ -200,33 +239,43 @@ def legal_moves(state: GameState, player: Player) -> list:
     target, then traversals by target. Returns [pass] exactly when
     nothing else is legal.
     """
-    if player is not state.to_move:
-        raise IllegalMoveError("wrong-player", f"{player.value} is not to move")
-    pos = state.position(player)
-    n = state.n
-    edges = state.edges
-    moves = []
-    if pos is None:
-        for s in range(n):
-            for t in range(n):
-                if s == t:
-                    continue
-                if edges[edge_index(n, s, t)] == FREE:
-                    moves.append(Move.place(s, t))
-        return moves if moves else [Move.pass_()]
-    own = player.owns
-    claims = []
-    walks = []
-    for t in range(n):
-        if t == pos:
-            continue
-        o = edges[edge_index(n, pos, t)]
-        if o == FREE:
-            claims.append(Move.claim(t))
-        elif o == own:
-            walks.append(Move.traverse(t))
-    moves = claims + walks
-    return moves if moves else [Move.pass_()]
+    moves = [Move(kind, start, t)
+             for kind, start, row, code in _move_groups(state, player)
+             for t, c in enumerate(row) if c == code]
+    return moves or [Move.pass_()]
+
+
+def count_moves(state: GameState, player: Player) -> int:
+    """The number of legal moves of ``player`` other than pass.
+
+    Equal to ``len(legal_moves(state, player))``, except that it is 0
+    where that list is [pass].
+    """
+    groups = _move_groups(state, player)  # checks the player first
+    if state.position(player) is None:
+        return 2 * state.edges.count(FREE)  # each free edge, from either end
+    return sum(row.count(code) for _, _, row, code in groups)
+
+
+def nth_move(state: GameState, player: Player, k: int) -> Move:
+    """Entry k of ``legal_moves(state, player)``, without building the list.
+
+    Before placement it skips whole starts by their free counts; after
+    it, it reads one edge row. Raises IndexError unless
+    0 <= k < max(1, count_moves(state, player)).
+    """
+    rest = k
+    for kind, start, row, code in _move_groups(state, player):
+        found = row.count(code)
+        if 0 <= rest < found:
+            # What follows the rest-th match is the last piece of a split
+            # at the first rest+1 matches.
+            after = row.split(bytes((code,)), rest + 1)[-1]
+            return Move(kind, start, len(row) - 1 - len(after))
+        rest -= found
+    if k == 0:  # no group holds a move
+        return Move.pass_()
+    raise IndexError(f"{player.value} has no legal move {k}")
 
 
 def _check_vertex(state: GameState, v: Optional[int], what: str) -> None:
@@ -251,8 +300,7 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
     new_pos = pos
 
     if move.kind is MoveKind.PASS:
-        others = legal_moves(state, player)
-        if not (len(others) == 1 and others[0].kind is MoveKind.PASS):
+        if count_moves(state, player):
             raise IllegalMoveError("pass-with-moves", "pass while claims or traversals exist")
     else:
         placing = move.kind is MoveKind.PLACE

@@ -52,7 +52,7 @@ from .engine import (
     new_game,
 )
 from .monitors import DEFAULT_N0, MonitorSuite
-from .strategies import StrategyAssertionError, make_policy
+from .strategies import BREAKER_IDS, MAKER_IDS, StrategyAssertionError, make_policy
 from .transcript import Footer, Header, MoveRecord, Transcript
 
 
@@ -312,6 +312,11 @@ def replay_transcript(transcript: Transcript) -> dict:
         raise ReplayMismatchError("header", str(exc)) from exc
     if header.goal not in GOALS:
         raise ReplayMismatchError("header", f"unknown goal {header.goal!r}")
+    for side, name, ids in (("maker", header.maker, MAKER_IDS),
+                            ("breaker", header.breaker, BREAKER_IDS)):
+        if name not in ids:
+            raise ReplayMismatchError(
+                "header", f"unknown {side} strategy {name!r}")
     footer = transcript.footer
     if footer is None:
         raise ReplayMismatchError(

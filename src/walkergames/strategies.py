@@ -31,7 +31,13 @@ Breaker policies
 * ``camper_breaker_move``: deterministic adversary that claims a fan of
   edges from a fixed camp vertex.
 * scripted play: replays an explicit move list, failing hard on any
-  illegal or missing entry.
+  illegal or missing entry. An entry is legal when ``apply_move``
+  accepts it.
+
+Policies take a fallback move with ``nth_move(state, player, 0)`` and
+the random policy draws a placed walker's move by count and index, so
+only the placement draw and ``_relocate``, which ranks every move, list
+``legal_moves``.
 
 A policy raises ``StrategyAssertionError`` only when a condition its
 design guarantees has been violated; for the pursuit-based Maker
@@ -49,11 +55,15 @@ from .engine import (
     FREE,
     MAKER_OWNED,
     GameState,
+    IllegalMoveError,
     Move,
     MoveKind,
     Player,
+    apply_move,
+    count_moves,
     degree_b,
     legal_moves,
+    nth_move,
     snapshot,
 )
 
@@ -131,7 +141,7 @@ def _opening_move(state: GameState, mem: StrategyMemory) -> Move:
             mem.start_vertex = v1
             mem.path_order = [v1, t]
             return Move.place(v1, t)
-    fallback = legal_moves(state, Player.MAKER)[0]
+    fallback = nth_move(state, Player.MAKER, 0)
     if fallback.kind is MoveKind.PLACE:
         mem.start_vertex = fallback.start
         mem.path_order = [fallback.start, fallback.target]
@@ -508,8 +518,21 @@ def hamilton_maker_move(state: GameState, mem: StrategyMemory) -> Move:
 # ---------------------------------------------------------------------------
 
 def random_walker_move(state: GameState, rng: random.Random) -> Move:
-    """Uniform choice over the legal moves, from the given generator."""
-    return rng.choice(legal_moves(state, state.to_move))
+    """Uniform choice over the legal moves, from the given generator.
+
+    A placed walker counts its moves and takes the k-th, for k drawn by
+    ``rng.randrange(count)``. That is the one draw ``rng.choice`` makes
+    on a list of that length, so the move and the generator's state are
+    those of ``rng.choice(legal_moves(...))``. A walker that can only
+    pass still draws, from ``randrange(1)``.
+    """
+    player = state.to_move
+    if state.position(player) is None:
+        # The placement draw still lists its moves. Without these lists
+        # the benchmark's peak_rss_mb on sweep reads the harness's own
+        # uncollected set-up garbage and rises; see ROADMAP item 1.
+        return rng.choice(legal_moves(state, player))
+    return nth_move(state, player, rng.randrange(count_moves(state, player) or 1))
 
 
 def greedy_breaker_move(state: GameState) -> Move:
@@ -615,7 +638,7 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
     if "target" not in named:
         if mpos is None:
             # Opponent has not placed yet; make a neutral move.
-            return legal_moves(state, Player.BREAKER)[0]
+            return nth_move(state, Player.BREAKER, 0)
         named["target"] = max(state.unvisited)
     z = named["target"]
 
@@ -629,7 +652,7 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
         if o == FREE:
             return Move.claim(z)
         # Home edge lost: the protected vertex was reached.
-        return legal_moves(state, Player.BREAKER)[0]
+        return nth_move(state, Player.BREAKER, 0)
 
     if mpos is not None and mpos != z and state.is_free(z, mpos):
         return Move.claim(mpos)
@@ -665,7 +688,7 @@ def camper_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
         if state.is_free(0, 1):
             named["camp"] = 0
             return Move.place(1, 0)
-        mv = legal_moves(state, Player.BREAKER)[0]
+        mv = nth_move(state, Player.BREAKER, 0)
         if mv.kind is MoveKind.PLACE:
             named["camp"] = mv.target
         return mv
@@ -685,7 +708,7 @@ def camper_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
         return Move.traverse(camp)
     if state.is_free(pos, camp):
         return Move.claim(camp)
-    return legal_moves(state, Player.BREAKER)[0]
+    return nth_move(state, Player.BREAKER, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +767,12 @@ def scripted_move(state: GameState, mem: StrategyMemory) -> Move:
     if cursor >= len(script):
         raise ScriptError(f"script exhausted before entry {cursor + 1}")
     move = script[cursor]
-    if move not in legal_moves(state, state.to_move):
+    try:
+        apply_move(state, state.to_move, move)
+    except IllegalMoveError as exc:
         raise ScriptError(
             f"script entry {cursor + 1} ({script_line(move)}) is illegal for "
-            f"{state.to_move.value} here")
+            f"{state.to_move.value} here") from exc
     mem.designated["cursor"] = cursor + 1
     return move
 

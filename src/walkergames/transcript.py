@@ -23,7 +23,8 @@ def canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string",
+               dict: "an object", list: "a list"}
 
 
 def _typed(value, what: str, kind: type = int, nullable: bool = False):
@@ -114,6 +115,19 @@ class MoveRecord:
         )
 
 
+# The (type, nullable) each footer field must have.
+_FOOTER_TYPES = {
+    "winner": (str, False),
+    "reason": (str, False),
+    "maker_move_count": (int, False),
+    "breaker_move_count": (int, False),
+    "passes": (int, False),
+    "monitors": (dict, True),
+    "certificate": (list, True),
+    "assertion": (dict, True),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class Footer:
     winner: str            # "maker" | "breaker" | "none"
@@ -133,7 +147,10 @@ class Footer:
 
     @staticmethod
     def from_json(obj: dict) -> "Footer":
-        return Footer(**{key: obj[key] for key in Footer.__slots__})
+        return Footer(**{
+            key: _typed(obj[key], f"footer {key}", *_FOOTER_TYPES[key])
+            for key in Footer.__slots__
+        })
 
 
 @dataclass(slots=True)
@@ -201,6 +218,8 @@ def parse_transcript(text: str) -> Transcript:
             except KeyError as exc:
                 raise TranscriptFormatError(
                     f"line {lineno}: footer missing field {exc}") from exc
+            except TranscriptFormatError as exc:
+                raise TranscriptFormatError(f"line {lineno}: {exc}") from exc
         else:
             raise TranscriptFormatError(f"line {lineno}: unknown record {record!r}")
 

@@ -153,6 +153,37 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
     )
 
 
+def reference_legal_moves(state: GameState, player: Player) -> list:
+    """``legal_moves`` as a plain scan over ``edge_index``, kept as the
+    reference for the engine's row-based listing, counting and indexing."""
+    pos = state.position(player)
+    n = state.n
+    if pos is None:
+        moves = [Move.place(s, t) for s in range(n) for t in range(n)
+                 if s != t and state.edges[edge_index(n, s, t)] == FREE]
+    else:
+        codes = [(t, state.edges[edge_index(n, pos, t)])
+                 for t in range(n) if t != pos]
+        moves = ([Move.claim(t) for t, o in codes if o == FREE]
+                 + [Move.traverse(t) for t, o in codes if o == player.owns])
+    return moves or [Move.pass_()]
+
+
+def pass_only_states() -> list:
+    """Positions where the mover can only pass: walled out before
+    placement, or placed on a vertex whose every edge is the opponent's
+    (no game reaches the second kind; it tests the rules alone)."""
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    return [
+        build_state(3, breaker_edges=[(0, 1), (1, 2), (0, 2)], breaker_pos=2),
+        build_state(4, maker_edges=k4, maker_pos=0, to_move=Player.BREAKER),
+        build_state(3, breaker_edges=[(0, 1), (0, 2)], maker_pos=0,
+                    breaker_pos=2),
+        build_state(6, maker_edges=[(t, 5) for t in range(5)], maker_pos=0,
+                    breaker_pos=5, to_move=Player.BREAKER),
+    ]
+
+
 def recomputed_unvisited(state: GameState) -> set:
     touched = set()
     for a, b in state.maker_edges:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_candidate_moves,
+    pass_only_states,
     random_playout_states,
+    reference_legal_moves,
     recomputed_breaker_touched,
     recomputed_degrees,
     recomputed_unvisited,
@@ -25,6 +27,7 @@ from walkergames.engine import (
     Player,
     apply_move,
     connectivity_won,
+    count_moves,
     degree_b,
     degree_m,
     edge_count,
@@ -32,6 +35,7 @@ from walkergames.engine import (
     hamilton_won,
     legal_moves,
     new_game,
+    nth_move,
     snapshot,
 )
 
@@ -323,3 +327,47 @@ class TestLegalityProperties:
             return out
 
         assert trail(seed) == trail(seed)
+
+
+BIASES = [(1, 1), (1, 2), (2, 1)]
+
+
+def _assert_counted_queries_match_list(state):
+    player = state.to_move
+    legal = legal_moves(state, player)
+    assert legal == reference_legal_moves(state, player)
+    count = count_moves(state, player)
+    assert count == (0 if legal == [Move.pass_()] else len(legal))
+    assert [nth_move(state, player, k) for k in range(len(legal))] == legal
+    for k in (-1, len(legal)):
+        with pytest.raises(IndexError):
+            nth_move(state, player, k)
+    for query in (count_moves, lambda s, p: nth_move(s, p, 0)):
+        with pytest.raises(IllegalMoveError) as err:
+            query(state, player.other)
+        assert err.value.rule == "wrong-player"
+
+
+class TestCountedMoves:
+    """``legal_moves`` lists what a plain scan of the edge store finds, and
+    ``count_moves`` and ``nth_move`` answer what it lists."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 9),
+           steps=st.integers(0, 60), bias=st.sampled_from(BIASES),
+           first=st.sampled_from(list(Player)))
+    def test_agree_with_legal_moves_on_playouts(self, seed, n, steps, bias,
+                                                first):
+        *_, state = random_playout_states(n, seed, steps, bias, first)
+        _assert_counted_queries_match_list(state)
+
+    @pytest.mark.parametrize("index", range(len(pass_only_states())))
+    def test_agree_with_legal_moves_when_only_pass(self, index):
+        state = pass_only_states()[index]
+        assert count_moves(state, state.to_move) == 0
+        _assert_counted_queries_match_list(state)
+
+    def test_pass_accepted_when_only_pass(self):
+        for state in pass_only_states():
+            after = apply_move(state, state.to_move, Move.pass_())
+            assert after.passes == 1

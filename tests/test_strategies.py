@@ -1,9 +1,20 @@
 """Unit and property tests for the Maker and Breaker policies."""
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import random
 
-from conftest import build_state, random_maker_states
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    all_candidate_moves,
+    build_state,
+    pass_only_states,
+    random_maker_states,
+    random_playout_states,
+)
 
 from walkergames.engine import (
     BREAKER_OWNED,
@@ -22,7 +33,12 @@ from walkergames.engine import (
     new_game,
 )
 from walkergames.monitors import maker_edges_form_simple_path
-from walkergames.runner import GameConfig, replay_transcript, run_game
+from walkergames.runner import (
+    GameConfig,
+    _move_from_record,
+    replay_transcript,
+    run_game,
+)
 from walkergames.strategies import (
     BREAKER_IDS,
     MAKER_IDS,
@@ -43,6 +59,8 @@ from walkergames.strategies import (
     make_policy,
     moves_to_script,
     parse_script,
+    random_walker_move,
+    script_line,
     scripted_move,
 )
 
@@ -863,3 +881,122 @@ class TestTaintedShortcuts:
         assert _best_unvisited_target(state, 1) == 7
         # From 7 both tainted neighbours are the Breaker's: fall back.
         assert _best_unvisited_target(state, 7) == 2
+
+
+BIASES = [(1, 1), (1, 2), (2, 1)]
+playouts = dict(seed=st.integers(0, 10_000), n=st.integers(3, 9),
+                steps=st.integers(0, 60), bias=st.sampled_from(BIASES),
+                first=st.sampled_from(list(Player)))
+
+
+def _odd_candidates(n):
+    """Script entries beyond ``all_candidate_moves``: vertices off the
+    board and placement loops."""
+    return ([Move.claim(n), Move.claim(-1), Move.traverse(n), Move.traverse(-1),
+             Move.place(n, 0), Move.place(0, n), Move.place(-1, 0)]
+            + [Move.place(v, v) for v in range(n)])
+
+
+def _scripted_accepts(state, move):
+    mem = StrategyMemory()
+    mem.designated.update(script=[move], cursor=0)
+    try:
+        chosen = scripted_move(state, mem)
+    except ScriptError as err:
+        assert str(err) == (f"script entry 1 ({script_line(move)}) is illegal "
+                            f"for {state.to_move.value} here")
+        assert mem.designated["cursor"] == 0
+        return False
+    assert chosen == move and mem.designated["cursor"] == 1
+    return True
+
+
+class TestListFreeChoices:
+    """The random and scripted policies choose as they did from the list."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(rng_seed=st.integers(0, 2 ** 32), **playouts)
+    def test_counted_draw_matches_choice_from_the_list(self, rng_seed, seed,
+                                                       n, steps, bias, first):
+        *_, state = random_playout_states(n, seed, steps, bias, first)
+        counted, listed = random.Random(rng_seed), random.Random(rng_seed)
+        for _ in range(3):
+            move = random_walker_move(state, counted)
+            assert move == listed.choice(legal_moves(state, state.to_move))
+            assert counted.getstate() == listed.getstate()
+
+    @pytest.mark.parametrize("index", range(len(pass_only_states())))
+    def test_counted_draw_when_only_pass(self, index):
+        state = pass_only_states()[index]
+        counted, listed = random.Random(index), random.Random(index)
+        assert random_walker_move(state, counted) == Move.pass_()
+        listed.choice([Move.pass_()])
+        assert counted.getstate() == listed.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**playouts)
+    def test_scripted_acceptance_matches_list_membership(self, seed, n, steps,
+                                                         bias, first):
+        *_, state = random_playout_states(n, seed, steps, bias, first)
+        legal = set(legal_moves(state, state.to_move))
+        for move in all_candidate_moves(n) + _odd_candidates(n):
+            assert _scripted_accepts(state, move) == (move in legal), move
+
+    @pytest.mark.parametrize("index", range(len(pass_only_states())))
+    def test_scripted_pass_accepted_only_when_nothing_else_is(self, index):
+        state = pass_only_states()[index]
+        for move in all_candidate_moves(state.n) + _odd_candidates(state.n):
+            assert _scripted_accepts(state, move) == (move == Move.pass_())
+
+
+class TestNoListsAfterPlacement:
+    """Once both walkers stand on the board, the random and scripted
+    policies list no moves; only placements and ``_relocate`` do."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """One entry per ``legal_moves`` call: whether both had placed."""
+        from walkergames import engine, strategies
+        calls = []
+
+        def counting(original):
+            def wrapper(state, player):
+                calls.append(None not in (state.maker_pos, state.breaker_pos))
+                return original(state, player)
+            return wrapper
+
+        for module in (engine, strategies):
+            monkeypatch.setattr(module, "legal_moves",
+                                counting(module.legal_moves))
+        return calls
+
+    @pytest.mark.parametrize("bias", BIASES)
+    @pytest.mark.parametrize("first", list(Player))
+    def test_random_maker_against_scripted_breaker(self, calls, bias,
+                                                   first):
+        # The scripted Breaker replays the random Breaker's moves of the
+        # same game, so both games run to the same end.
+        config = GameConfig(n=12, maker="random", breaker="random", seed=4,
+                            bias=bias, first_player=first, move_cap=40)
+        played = run_game(config)
+        script = moves_to_script([
+            _move_from_record(rec) for rec in played.transcript.entries
+            if rec.player == "breaker"])
+        calls.clear()
+        scripted = run_game(dataclasses.replace(
+            config, breaker="scripted", breaker_script=script))
+        assert scripted.transcript.dumps().splitlines()[1:] == \
+            played.transcript.dumps().splitlines()[1:]
+        assert False in calls  # the placement draws list, through the wrappers
+        assert True not in calls
+
+    @pytest.mark.parametrize("maker", ["connectivity", "hamilton", "random"])
+    @pytest.mark.parametrize("first", list(Player))
+    def test_random_breaker(self, calls, maker, first):
+        config = GameConfig(n=12, maker=maker, breaker="random",
+                            goal="hamilton" if maker == "hamilton" else "connectivity",
+                            seed=2, first_player=first, move_cap=40)
+        result = run_game(config)
+        assert result.final_state.maker_moves > 2
+        assert False in calls  # the placement draws list, through the wrappers
+        assert True not in calls

@@ -473,6 +473,15 @@ class TestExitCodes:
         (1, "round", "0"),
         (1, "to", 3.0),
         (1, "to", "3"),
+        (-1, "passes", False),
+        (-1, "passes", None),
+        (-1, "maker_move_count", 5.0),
+        (-1, "breaker_move_count", "4"),
+        (-1, "winner", 1),
+        (-1, "reason", None),
+        (-1, "monitors", []),
+        (-1, "certificate", {}),
+        (-1, "assertion", "none"),
     ])
     def test_mistyped_transcript_field_exits_4(self, tmp_path, capsys, line,
                                                field, value):
@@ -485,6 +494,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error[transcript-format]" in err
         assert f" {field} must be" in err
+
+    @pytest.mark.parametrize("side", ["maker", "breaker"])
+    def test_unknown_strategy_id_exits_4_as_header(self, tmp_path, capsys,
+                                                   side):
+        text = _game(n=6, seed=1).transcript.dumps()
+        path = tmp_path / "unknown-id.jsonl"
+        path.write_text(_mutate_line(text, 0,
+                                     lambda o: o.update({side: "nobody"})))
+        assert cli.main(["replay", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "error[header]" in err
+        assert f"unknown {side} strategy 'nobody'" in err
 
     def test_moves_recorded_after_the_cap_exit_4(self, tmp_path, capsys):
         result = _game(n=6, seed=1)
