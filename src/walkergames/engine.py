@@ -14,20 +14,24 @@ solver and the CLI all build on it.
 
 Legal moves can be listed (``legal_moves``), counted (``count_moves``)
 or taken one at a time by index (``nth_move``), all in one order. Play
-counts and indexes, which reads one row of the edge store and builds
-one ``Move``; the list serves the tests, the Maker's blocked-endgame
-ranking and the random policy's placement draw.
+counts and indexes, which reads one edge row and builds one ``Move``;
+the list serves the tests, the Maker's blocked-endgame ranking and the
+random policy's placement draw.
 
 Conventions
 -----------
-* Vertices are integers 0..n-1. Edges are unordered pairs stored in
-  canonical (low, high) form and indexed into a flat triangular array.
-* That array is a ``bytearray``; each byte holds one edge code:
-  ``FREE``, ``MAKER_OWNED`` or ``BREAKER_OWNED``. ``Player.owns`` maps
-  a player to the code of the edges it claims.
+* Vertices are integers 0..n-1. Claimed edges are listed as unordered
+  pairs in canonical (low, high) form.
+* The board is held as n edge rows, one ``bytearray`` of n bytes per
+  vertex: ``rows[v][t]`` holds the code of edge {v, t}, one of
+  ``FREE``, ``MAKER_OWNED`` or ``BREAKER_OWNED``, and ``rows[v][v]``
+  holds ``_SELF``, which matches no edge code. ``Player.owns`` maps a
+  player to the code of the edges it claims.
 * ``GameState`` is treated as immutable: ``apply_move`` returns a new
-  state and never mutates its input. It copies the edge array, n(n-1)/2
-  bytes, for every move; nothing is updated in place or undone.
+  state and never mutates its input, and no row changes once a state
+  holds it. A claim of {a, b} copies the list of row references and
+  rows a and b, so that a move costs O(n); every other row is shared
+  with the parent state. A traversal or pass shares the list itself.
 * ``round`` counts completed (first player, second player) pairs;
   Maker moves are tallied separately because the win bounds are stated
   in Maker moves.
@@ -36,12 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
-# Edge codes, one per slot of ``GameState.edges``.
+# Edge codes, the bytes of ``GameState.rows``.
 FREE, MAKER_OWNED, BREAKER_OWNED = 0, 1, 2
+
+# Fills a vertex's own slot in its edge row; it matches no edge code.
+_SELF = 0xFF
 
 
 class Player(Enum):
@@ -118,7 +124,7 @@ class Move:
 
 
 def edge_index(n: int, a: int, b: int) -> int:
-    """Triangular index of edge {a, b} in a flat array of n(n-1)/2 slots."""
+    """Triangular index of edge {a, b} among the n(n-1)/2 edges."""
     if a > b:
         a, b = b, a
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
@@ -133,7 +139,7 @@ class GameState:
     n: int
     bias: Bias
     first_player: Player
-    edges: bytearray  # one edge code per byte, length n(n-1)/2
+    rows: list  # n bytearrays of n edge codes, shared between states
     maker_pos: Optional[int]
     breaker_pos: Optional[int]
     unvisited: set          # vertices incident to no Maker edge
@@ -149,17 +155,21 @@ class GameState:
     passes: int
 
     def owner(self, a: int, b: int) -> int:
-        return self.edges[edge_index(self.n, a, b)]
+        """The code of edge {a, b}. A loop is no edge: ``owner(v, v)``
+        returns ``_SELF``."""
+        return self.rows[a][b]
 
     def is_free(self, a: int, b: int) -> bool:
-        return self.edges[edge_index(self.n, a, b)] == FREE
+        """Whether edge {a, b} is unclaimed. False for a loop, which is
+        no edge."""
+        return self.rows[a][b] == FREE
 
     def position(self, player: Player) -> Optional[int]:
         return self.maker_pos if player is Player.MAKER else self.breaker_pos
 
 
-# The largest board a game may use. Its edge store takes n(n-1)/2 bytes,
-# about 8 MB at this size, and every move copies it.
+# The largest board a game may use. Its edge rows take n*n bytes, about
+# 16.8 MB at this size, built once per game; a claim copies two of them.
 MAX_N = 4096
 
 # The default Maker move cap, in play and in the exact solver, is this times n.
@@ -179,11 +189,14 @@ def new_game(n: int, bias: Bias = Bias(1, 1),
     bias = Bias(*bias)
     if bias.maker < 1 or bias.breaker < 1:
         raise ValueError(f"bias entries must be positive, got {bias}")
+    rows = [bytearray(n) for _ in range(n)]
+    for v, row in enumerate(rows):
+        row[v] = _SELF
     return GameState(
         n=n,
         bias=bias,
         first_player=first_player,
-        edges=bytearray(edge_count(n)),
+        rows=rows,
         maker_pos=None,
         breaker_pos=None,
         unvisited=set(range(n)),
@@ -200,24 +213,6 @@ def new_game(n: int, bias: Bias = Bias(1, 1),
     )
 
 
-# Fills a vertex's own slot in an edge row; it matches no edge code.
-_SELF = b"\xff"
-
-
-def _row(state: GameState, v: int) -> bytes:
-    """The codes of the edges from v, indexed by their other end.
-
-    The edges {v, t} with t > v are one contiguous slice of the
-    triangular store. The edge {t, v} with t < v sits at slot v-1 for
-    t = 0, and each next t lies n-2-t slots further on.
-    """
-    n = state.n
-    edges = state.edges
-    lower = accumulate(range(n - 2, n - 1 - v, -1), initial=v - 1) if v else ()
-    base = v * (2 * n - v - 1) // 2
-    return bytes(map(edges.__getitem__, lower)) + _SELF + edges[base:base + n - 1 - v]
-
-
 def _move_groups(state: GameState, player: Player):
     """The legal moves other than pass, as (kind, start, row, code) groups
     in ``legal_moves`` order. A group's moves are ``Move(kind, start, t)``
@@ -226,8 +221,8 @@ def _move_groups(state: GameState, player: Player):
         raise IllegalMoveError("wrong-player", f"{player.value} is not to move")
     pos = state.position(player)
     if pos is None:
-        return ((MoveKind.PLACE, s, _row(state, s), FREE) for s in range(state.n))
-    row = _row(state, pos)
+        return ((MoveKind.PLACE, s, row, FREE) for s, row in enumerate(state.rows))
+    row = state.rows[pos]
     return ((MoveKind.CLAIM, None, row, FREE),
             (MoveKind.TRAVERSE, None, row, player.owns))
 
@@ -253,7 +248,7 @@ def count_moves(state: GameState, player: Player) -> int:
     """
     groups = _move_groups(state, player)  # checks the player first
     if state.position(player) is None:
-        return 2 * state.edges.count(FREE)  # each free edge, from either end
+        return sum(row.count(FREE) for row in state.rows)
     return sum(row.count(code) for _, _, row, code in groups)
 
 
@@ -328,7 +323,7 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
             claimed = (min(origin, move.target), max(origin, move.target))
         new_pos = move.target
 
-    edges = bytearray(state.edges)
+    rows = state.rows
     unvisited = state.unvisited
     breaker_touched = state.breaker_touched
     deg_b = state.deg_b
@@ -337,7 +332,11 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
 
     if claimed is not None:
         a, b = claimed
-        edges[edge_index(n, a, b)] = own
+        rows = rows.copy()
+        rows[a] = row = bytearray(rows[a])
+        row[b] = own
+        rows[b] = row = bytearray(rows[b])
+        row[a] = own
         if player is Player.MAKER:
             unvisited = set(unvisited)
             unvisited.discard(a)
@@ -382,7 +381,7 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
         n=n,
         bias=state.bias,
         first_player=state.first_player,
-        edges=edges,
+        rows=rows,
         maker_pos=maker_pos,
         breaker_pos=breaker_pos,
         unvisited=unvisited,
@@ -414,11 +413,10 @@ def degree_b(state: GameState, x: int, restrict: Optional[Iterable[int]] = None)
     full = state.deg_b[x]
     if restrict is None or full == 0:
         return full
-    n = state.n
-    edges = state.edges
+    row = state.rows[x]
     count = 0
     for t in state.breaker_touched.intersection(restrict):
-        if t != x and edges[edge_index(n, x, t)] == BREAKER_OWNED:
+        if row[t] == BREAKER_OWNED:
             count += 1
             if count == full:  # no Breaker edge of x is left to find
                 break
@@ -427,15 +425,11 @@ def degree_b(state: GameState, x: int, restrict: Optional[Iterable[int]] = None)
 
 def degree_m(state: GameState, x: int, restrict: Optional[Iterable[int]] = None) -> int:
     """Maker degree of x, optionally counting only neighbours in ``restrict``,
-    counted from the edge store."""
-    n = state.n
+    counted from x's edge row."""
+    row = state.rows[x]
     if restrict is None:
-        restrict = range(n)
-    edges = state.edges
-    return sum(
-        1 for t in restrict
-        if t != x and edges[edge_index(n, x, t)] == MAKER_OWNED
-    )
+        return row.count(MAKER_OWNED)
+    return sum(1 for t in restrict if row[t] == MAKER_OWNED)
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,8 @@ from itertools import permutations
 from typing import Optional
 
 from .engine import (
-    BREAKER_OWNED,
     DEFAULT_MOVE_CAP_FACTOR,
     GOALS,
-    MAKER_OWNED,
     Bias,
     GameState,
     IllegalMoveError,
@@ -360,12 +358,9 @@ def _as_engine_move(mv: tuple) -> Move:
 
 def _internal_from_state(state: GameState) -> tuple:
     """(mm, bm, mpos, bpos, maker_turn) for an engine state."""
-    mm = bm = 0
-    for e, code in enumerate(state.edges):
-        if code == MAKER_OWNED:
-            mm |= 1 << e
-        elif code == BREAKER_OWNED:
-            bm |= 1 << e
+    n = state.n
+    mm = sum(1 << edge_index(n, a, b) for a, b in state.maker_edges)
+    bm = sum(1 << edge_index(n, a, b) for a, b in state.breaker_edges)
     mpos = -1 if state.maker_pos is None else state.maker_pos
     bpos = -1 if state.breaker_pos is None else state.breaker_pos
     return mm, bm, mpos, bpos, int(state.to_move is Player.MAKER)

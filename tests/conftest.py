@@ -14,14 +14,13 @@ from walkergames.engine import (
     BREAKER_OWNED,
     FREE,
     MAKER_OWNED,
+    _SELF,
     Bias,
     GameState,
     Move,
     Player,
     apply_move,
     connectivity_won,
-    edge_count,
-    edge_index,
     hamilton_won,
     legal_moves,
     new_game,
@@ -49,7 +48,7 @@ def brute_force_value(state: GameState, goal: str, budget: int,
     if _path is None:
         _path = set()
         _memo = {}
-    key = (tuple(state.edges), state.maker_pos, state.breaker_pos,
+    key = (b"".join(state.rows), state.maker_pos, state.breaker_pos,
            state.to_move, state.moves_left_in_turn, budget)
     if key in _memo:
         return _memo[key]
@@ -75,10 +74,6 @@ def brute_force_value(state: GameState, goal: str, budget: int,
 def relabel_state(state: GameState, perm) -> GameState:
     """The same position with vertices renamed by ``perm``."""
     n = state.n
-    edges = bytearray(edge_count(n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            edges[edge_index(n, perm[a], perm[b])] = state.edges[edge_index(n, a, b)]
     deg_b = [0] * n
     for v in range(n):
         deg_b[perm[v]] = state.deg_b[v]
@@ -89,18 +84,20 @@ def relabel_state(state: GameState, perm) -> GameState:
     def pe(pairs):
         return [tuple(sorted((perm[a], perm[b]))) for a, b in pairs]
 
+    maker_edges = pe(state.maker_edges)
+    breaker_edges = pe(state.breaker_edges)
     return GameState(
         n=n,
         bias=state.bias,
         first_player=state.first_player,
-        edges=edges,
+        rows=edge_rows(n, maker_edges, breaker_edges),
         maker_pos=pv(state.maker_pos),
         breaker_pos=pv(state.breaker_pos),
         unvisited={perm[v] for v in state.unvisited},
         breaker_touched={perm[v] for v in state.breaker_touched},
         deg_b=deg_b,
-        maker_edges=pe(state.maker_edges),
-        breaker_edges=pe(state.breaker_edges),
+        maker_edges=maker_edges,
+        breaker_edges=breaker_edges,
         round=state.round,
         to_move=state.to_move,
         moves_left_in_turn=state.moves_left_in_turn,
@@ -110,25 +107,36 @@ def relabel_state(state: GameState, perm) -> GameState:
     )
 
 
+def edge_rows(n, maker_edges, breaker_edges) -> list:
+    """The engine's edge rows for a board whose claimed edges are the
+    two lists: ``rows[v][t]`` is the code of {v, t}, ``rows[v][v]`` is
+    ``_SELF``. Raises ValueError on an edge listed twice."""
+    rows = [bytearray(n) for _ in range(n)]
+    for v in range(n):
+        rows[v][v] = _SELF
+    for pairs, code in ((maker_edges, MAKER_OWNED),
+                        (breaker_edges, BREAKER_OWNED)):
+        for a, b in pairs:
+            if rows[a][b] != FREE:
+                raise ValueError(f"edge {a}-{b} assigned twice")
+            rows[a][b] = rows[b][a] = code
+    return rows
+
+
 def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
                 breaker_pos=None, to_move=Player.MAKER, bias=(1, 1),
                 first_player=Player.BREAKER, round=1) -> GameState:
     """A consistent synthetic position from explicit edge lists.
 
-    Derived fields (ownership array, unvisited set, degrees, counters)
-    are recomputed from the lists, so policy unit tests can pose exact
+    Derived fields (edge rows, unvisited set, degrees, counters) are
+    recomputed from the lists, so policy unit tests can pose exact
     mid-game situations without replaying a move sequence.
     """
     maker_edges = [tuple(sorted(e)) for e in maker_edges]
     breaker_edges = [tuple(sorted(e)) for e in breaker_edges]
-    edges = bytearray(edge_count(n))
+    rows = edge_rows(n, maker_edges, breaker_edges)
     deg_b = [0] * n
-    for a, b in maker_edges:
-        edges[edge_index(n, a, b)] = MAKER_OWNED
     for a, b in breaker_edges:
-        if edges[edge_index(n, a, b)] != FREE:
-            raise ValueError(f"edge {a}-{b} assigned twice")
-        edges[edge_index(n, a, b)] = BREAKER_OWNED
         deg_b[a] += 1
         deg_b[b] += 1
     touched = {v for e in maker_edges for v in e}
@@ -136,7 +144,7 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
         n=n,
         bias=Bias(*bias),
         first_player=first_player,
-        edges=edges,
+        rows=rows,
         maker_pos=maker_pos,
         breaker_pos=breaker_pos,
         unvisited=set(range(n)) - touched,
@@ -154,16 +162,21 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
 
 
 def reference_legal_moves(state: GameState, player: Player) -> list:
-    """``legal_moves`` as a plain scan over ``edge_index``, kept as the
-    reference for the engine's row-based listing, counting and indexing."""
+    """``legal_moves`` as a plain scan over the claimed-edge lists, kept
+    as the reference for the engine's row-based listing, counting and
+    indexing."""
     pos = state.position(player)
     n = state.n
+    owned = edge_codes(state)
+
+    def code(a, b):
+        return owned.get((min(a, b), max(a, b)), FREE)
+
     if pos is None:
         moves = [Move.place(s, t) for s in range(n) for t in range(n)
-                 if s != t and state.edges[edge_index(n, s, t)] == FREE]
+                 if s != t and code(s, t) == FREE]
     else:
-        codes = [(t, state.edges[edge_index(n, pos, t)])
-                 for t in range(n) if t != pos]
+        codes = [(t, code(pos, t)) for t in range(n) if t != pos]
         moves = ([Move.claim(t) for t, o in codes if o == FREE]
                  + [Move.traverse(t) for t, o in codes if o == player.owns])
     return moves or [Move.pass_()]
@@ -200,31 +213,23 @@ def recomputed_breaker_touched(state: GameState) -> set:
     return touched
 
 
+def edge_codes(state: GameState) -> dict:
+    """The code of each claimed edge, keyed by its (low, high) pair, read
+    from the claimed-edge lists."""
+    codes = dict.fromkeys(state.maker_edges, MAKER_OWNED)
+    codes.update(dict.fromkeys(state.breaker_edges, BREAKER_OWNED))
+    return codes
+
+
 def recomputed_degrees(state: GameState) -> tuple:
-    """(Maker degrees, Breaker degrees), counted from the edge store."""
-    deg_m = [0] * state.n
-    deg_b = [0] * state.n
-    for i, o in enumerate(state.edges):
-        if o == FREE:
-            continue
-        a, b = _edge_from_index(state.n, i)
-        if o == MAKER_OWNED:
-            deg_m[a] += 1
-            deg_m[b] += 1
-        else:
-            deg_b[a] += 1
-            deg_b[b] += 1
-    return deg_m, deg_b
-
-
-def _edge_from_index(n: int, idx: int) -> tuple:
-    a = 0
-    row = n - 1
-    while idx >= row:
-        idx -= row
-        a += 1
-        row -= 1
-    return a, a + 1 + idx
+    """(Maker degrees, Breaker degrees), counted from the claimed-edge
+    lists."""
+    degrees = ([0] * state.n, [0] * state.n)
+    for side, pairs in enumerate((state.maker_edges, state.breaker_edges)):
+        for a, b in pairs:
+            degrees[side][a] += 1
+            degrees[side][b] += 1
+    return degrees
 
 
 def random_playout_states(n: int, seed: int, steps: int,

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import walkergames
-from walkergames.engine import Player
+from walkergames.engine import MAX_N, Player
 from walkergames.runner import GameConfig, replay_transcript, run_game
 from walkergames.transcript import parse_transcript
 
@@ -89,6 +89,20 @@ def test_big_board_pairs_at_n200_match_frozen_digests(maker, goal, breaker):
 def test_big_board_pairs_at_n800_match_frozen_digests(maker, goal, breaker):
     digest = _big_board_digest(800, maker, goal, breaker)
     assert digest == BIG_BOARD_N800[(maker, goal, breaker)]
+
+
+# The seed-0 connectivity-vs-greedy game on the largest board a game may
+# use: the per-move cost of the edge rows shows most here.
+MAX_N_DIGEST = (
+    "2ce4cc209a16f0614ed7b7dd74f60505c4116983f9c3e9dcdf67051d70410cb8")
+
+
+def test_max_n_game_matches_frozen_digest_and_replays_clean():
+    config = GameConfig(n=MAX_N, maker="connectivity", goal="connectivity",
+                        breaker="greedy", seed=0)
+    text = run_game(config).transcript.dumps()
+    assert _sha(text) == MAX_N_DIGEST
+    replay_transcript(parse_transcript(text))
 
 
 # Every Maker against every Breaker at every bias, both first players,

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_candidate_moves,
+    build_state,
+    edge_codes,
     pass_only_states,
     random_playout_states,
     reference_legal_moves,
@@ -18,6 +20,8 @@ from conftest import (
 )
 from walkergames.engine import (
     BREAKER_OWNED,
+    FREE,
+    _SELF,
     Bias,
     MAX_N,
     IllegalMoveError,
@@ -38,6 +42,8 @@ from walkergames.engine import (
     nth_move,
     snapshot,
 )
+
+BIASES = [(1, 1), (1, 2), (2, 1)]
 
 
 def _play(state, *moves):
@@ -92,19 +98,8 @@ class TestLegalMoves:
     def test_fully_blocked_player_gets_exactly_pass(self):
         # Synthetic dead end: the maker stands at 0 with every incident
         # edge the opponent's and no own edge anywhere.
-        from walkergames.engine import GameState, edge_count
-        n = 3
-        edges = bytearray(edge_count(n))
-        edges[edge_index(n, 0, 1)] = BREAKER_OWNED
-        edges[edge_index(n, 0, 2)] = BREAKER_OWNED
-        state = GameState(
-            n=n, bias=Bias(1, 1), first_player=Player.BREAKER,
-            edges=edges, maker_pos=0, breaker_pos=2,
-            unvisited={0, 1, 2}, breaker_touched={0, 1, 2},
-            deg_b=[2, 1, 1],
-            maker_edges=[], breaker_edges=[(0, 1), (0, 2)],
-            round=1, to_move=Player.MAKER, moves_left_in_turn=1,
-            maker_moves=0, breaker_moves=2, passes=0)
+        state = build_state(3, breaker_edges=[(0, 1), (0, 2)], maker_pos=0,
+                            breaker_pos=2)
         assert legal_moves(state, Player.MAKER) == [Move.pass_()]
         after = apply_move(state, Player.MAKER, Move.pass_())
         assert after.passes == 1
@@ -135,9 +130,9 @@ class TestApplyMove:
 
     def test_traverse_changes_no_ownership(self):
         state = _play(new_game(4), Move.place(0, 1), Move.place(2, 3))
-        before_edges = bytes(state.edges)
+        before_rows = [bytes(row) for row in state.rows]
         state = _play(state, Move.traverse(0))  # breaker walks 1 -> 0
-        assert state.edges == before_edges
+        assert [bytes(row) for row in state.rows] == before_rows
         assert state.breaker_pos == 0
 
     def test_claim_by_maker_shrinks_unvisited(self):
@@ -199,9 +194,46 @@ class TestApplyMove:
 
     def test_apply_does_not_mutate_input(self):
         state = new_game(4)
-        frozen = (list(state.edges), set(state.unvisited), state.round)
+        frozen = ([bytes(row) for row in state.rows], set(state.unvisited),
+                  state.round)
         _play(state, Move.place(0, 1), Move.place(1, 2), Move.claim(3))
-        assert (list(state.edges), set(state.unvisited), state.round) == frozen
+        assert ([bytes(row) for row in state.rows], set(state.unvisited),
+                state.round) == frozen
+
+    def test_loop_queries_name_no_edge(self):
+        state = new_game(5)
+        assert not state.is_free(2, 2)
+        state = _play(state, Move.place(3, 4))
+        for v in range(5):
+            assert state.owner(v, v) == _SELF
+            assert not state.is_free(v, v)
+
+
+class TestRowSharing:
+    """A claim of {a, b} makes new rows a and b and shares every other
+    row with its input; a traversal or pass shares the row list itself.
+    No row the input holds changes."""
+
+    @pytest.mark.parametrize("bias", BIASES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_moves_share_untouched_rows(self, seed, bias):
+        rng = random.Random(seed)
+        state = new_game(7, Bias(*bias))
+        for _ in range(60):
+            mover = state.to_move
+            move = rng.choice(legal_moves(state, mover))
+            before = [bytes(row) for row in state.rows]
+            after = apply_move(state, mover, move)
+            if move.kind in (MoveKind.PLACE, MoveKind.CLAIM):
+                ends = {move.target,
+                        move.start if move.kind is MoveKind.PLACE
+                        else state.position(mover)}
+                for v in range(state.n):
+                    assert (after.rows[v] is state.rows[v]) == (v not in ends)
+            else:
+                assert after.rows is state.rows
+            assert [bytes(row) for row in state.rows] == before
+            state = after
 
 
 class TestDegrees:
@@ -282,6 +314,23 @@ class TestRecomputation:
             assert [degree_m(state, v) for v in range(state.n)] == dm
             assert list(state.deg_b) == db
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 9),
+           steps=st.integers(0, 60), bias=st.sampled_from(BIASES),
+           first=st.sampled_from(list(Player)))
+    def test_rows_agree_with_claimed_edges_on_playouts(self, seed, n, steps,
+                                                       bias, first):
+        for state in random_playout_states(n, seed, steps, bias, first):
+            rows = state.rows
+            codes = edge_codes(state)
+            assert len(rows) == n
+            for v in range(n):
+                assert len(rows[v]) == n
+                assert rows[v][v] == _SELF
+                for t in range(v + 1, n):
+                    assert rows[v][t] == rows[t][v]
+                    assert rows[v][t] == codes.get((v, t), FREE)
+
     def test_unvisited_never_grows(self):
         prev = None
         for state in random_playout_states(9, 3, steps=60):
@@ -329,9 +378,6 @@ class TestLegalityProperties:
         assert trail(seed) == trail(seed)
 
 
-BIASES = [(1, 1), (1, 2), (2, 1)]
-
-
 def _assert_counted_queries_match_list(state):
     player = state.to_move
     legal = legal_moves(state, player)
@@ -349,7 +395,7 @@ def _assert_counted_queries_match_list(state):
 
 
 class TestCountedMoves:
-    """``legal_moves`` lists what a plain scan of the edge store finds, and
+    """``legal_moves`` lists what a plain scan of the claimed edges finds, and
     ``count_moves`` and ``nth_move`` answer what it lists."""
 
     @settings(max_examples=120, deadline=None)
