@@ -27,6 +27,8 @@ Conventions
   ``FREE``, ``MAKER_OWNED`` or ``BREAKER_OWNED``, and ``rows[v][v]``
   holds ``_SELF``, which matches no edge code. ``Player.owns`` maps a
   player to the code of the edges it claims.
+* Degrees are counted from the edge rows by ``degree_b`` and
+  ``degree_m``; the state keeps no degree list.
 * ``GameState`` is treated as immutable: ``apply_move`` returns a new
   state and never mutates its input, and no row changes once a state
   holds it. A claim of {a, b} copies the list of row references and
@@ -144,7 +146,6 @@ class GameState:
     breaker_pos: Optional[int]
     unvisited: set          # vertices incident to no Maker edge
     breaker_touched: set    # vertices incident to at least one Breaker edge
-    deg_b: list
     maker_edges: list       # (low, high) pairs in claim order
     breaker_edges: list
     round: int
@@ -201,7 +202,6 @@ def new_game(n: int, bias: Bias = Bias(1, 1),
         breaker_pos=None,
         unvisited=set(range(n)),
         breaker_touched=set(),
-        deg_b=[0] * n,
         maker_edges=[],
         breaker_edges=[],
         round=0,
@@ -326,7 +326,6 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
     rows = state.rows
     unvisited = state.unvisited
     breaker_touched = state.breaker_touched
-    deg_b = state.deg_b
     maker_edges = state.maker_edges
     breaker_edges = state.breaker_edges
 
@@ -343,9 +342,6 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
             unvisited.discard(b)
             maker_edges = maker_edges + [claimed]
         else:
-            deg_b = list(deg_b)
-            deg_b[a] += 1
-            deg_b[b] += 1
             breaker_touched = set(breaker_touched)
             breaker_touched.add(a)
             breaker_touched.add(b)
@@ -386,7 +382,6 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
         breaker_pos=breaker_pos,
         unvisited=unvisited,
         breaker_touched=breaker_touched,
-        deg_b=deg_b,
         maker_edges=maker_edges,
         breaker_edges=breaker_edges,
         round=rnd,
@@ -404,23 +399,17 @@ def apply_move(state: GameState, player: Player, move: Move) -> GameState:
 
 def degree_b(state: GameState, x: int, restrict: Optional[Iterable[int]] = None) -> int:
     """Breaker degree of x, optionally counting only neighbours in ``restrict``
-    (distinct vertices).
+    (distinct vertices), counted from x's edge row.
 
     The restricted count scans only ``restrict`` intersected with
     ``breaker_touched``: every Breaker edge of x ends at a Breaker-touched
     vertex, so no other neighbour can count.
     """
-    full = state.deg_b[x]
-    if restrict is None or full == 0:
-        return full
     row = state.rows[x]
-    count = 0
-    for t in state.breaker_touched.intersection(restrict):
-        if row[t] == BREAKER_OWNED:
-            count += 1
-            if count == full:  # no Breaker edge of x is left to find
-                break
-    return count
+    if restrict is None:
+        return row.count(BREAKER_OWNED)
+    return sum(1 for t in state.breaker_touched.intersection(restrict)
+               if row[t] == BREAKER_OWNED)
 
 
 def degree_m(state: GameState, x: int, restrict: Optional[Iterable[int]] = None) -> int:

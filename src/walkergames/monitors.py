@@ -216,7 +216,7 @@ class MonitorSuite:
                 stats.miss()
                 continue
             stats.hit()
-            d = after.deg_b[v]
+            d = degree_b(after, v)
             if self.max_first_visit_degree is None or d > self.max_first_visit_degree:
                 self.max_first_visit_degree = d
             if d > FIRST_VISIT_DEGREE_LIMIT:
@@ -328,15 +328,6 @@ class MonitorSuite:
 
     def has_violations(self) -> bool:
         return any(s.violations for s in self.checks.values())
-
-    def first_violation(self) -> Optional[tuple]:
-        best = None
-        for name in CHECK_NAMES:
-            s = self.checks[name]
-            if s.first_violation_round is not None:
-                if best is None or s.first_violation_round < best[1]:
-                    best = (name, s.first_violation_round)
-        return best
 
     def report(self) -> Optional[dict]:
         """The check results, or None when monitoring is off."""

@@ -34,10 +34,10 @@ Breaker policies
   illegal or missing entry. An entry is legal when ``apply_move``
   accepts it.
 
-Policies take a fallback move with ``nth_move(state, player, 0)`` and
-the random policy draws a placed walker's move by count and index, so
-only the placement draw and ``_relocate``, which ranks every move, list
-``legal_moves``.
+Policies take a fallback or first legal move with
+``nth_move(state, player, 0)`` and the random policy draws a placed
+walker's move by count and index, so only the placement draw and
+``_relocate``, which ranks every move, list ``legal_moves``.
 
 A policy raises ``StrategyAssertionError`` only when a condition its
 design guarantees has been violated; for the pursuit-based Maker
@@ -98,7 +98,6 @@ class StrategyMemory:
     stage: int = 1
     path_order: list = field(default_factory=list)
     cycle_order: Optional[list] = None
-    start_vertex: Optional[int] = None
     designated: dict = field(default_factory=dict)
     rng: random.Random = field(init=False, repr=False)
 
@@ -113,37 +112,26 @@ class StrategyMemory:
 def _opening_move(state: GameState, mem: StrategyMemory) -> Move:
     """Maker's placement: start where the opponent's first move ended.
 
-    Partner vertex: an unvisited vertex of opponent degree zero, lowest
-    index. If the Maker opens the game there is no opponent move yet;
-    vertices 0 and 1 are used. Degraded boards fall back to the nearest
-    workable placement.
+    Partner vertex: the vertex of lowest opponent degree, lowest index
+    on ties, among those with a free edge to the start. If the Maker
+    opens the game there is no opponent move yet; vertices 0 and 1 are
+    used. When every edge at the opponent's end vertex is taken, the
+    first legal placement is used. The recorded path starts at the
+    placement's start.
     """
     if state.breaker_pos is None:
-        mem.start_vertex = 0
         mem.path_order = [0, 1]
         return Move.place(0, 1)
     v1 = state.breaker_pos
-    best = None
-    for u in sorted(state.unvisited):
-        if u == v1 or not state.is_free(v1, u):
-            continue
-        key = (state.deg_b[u], u)
-        if best is None or key < best[0]:
-            best = (key, u)
-    if best is not None:
-        u = best[1]
-        mem.start_vertex = v1
+    # Before her placement the Maker has visited nothing, so every free
+    # edge at v1 leads into the unvisited set.
+    free = [u for u in state.unvisited if state.is_free(v1, u)]
+    if free:
+        u = min(free, key=lambda u: (degree_b(state, u), u))
         mem.path_order = [v1, u]
         return Move.place(v1, u)
-    # No free edge from the opponent's end vertex into the unvisited set.
-    for t in range(state.n):
-        if t != v1 and state.is_free(v1, t):
-            mem.start_vertex = v1
-            mem.path_order = [v1, t]
-            return Move.place(v1, t)
     fallback = nth_move(state, Player.MAKER, 0)
     if fallback.kind is MoveKind.PLACE:
-        mem.start_vertex = fallback.start
         mem.path_order = [fallback.start, fallback.target]
     return fallback
 
@@ -162,7 +150,7 @@ def _relocate(state: GameState, mem: StrategyMemory) -> Move:
     unvisited = state.unvisited
 
     def access(t: int) -> int:
-        return sum(1 for u in unvisited if u != t and state.is_free(t, u))
+        return sum(1 for u in unvisited if state.is_free(t, u))
 
     def rank(mv: Move):
         return (-access(mv.target), 0 if mv.kind is MoveKind.TRAVERSE else 1, mv.target)
@@ -184,8 +172,8 @@ def _best_unvisited_target(state: GameState, v: int) -> Optional[int]:
     tainted = state.breaker_touched & unvisited
     best = None
     for u in tainted:
-        if u != v and state.is_free(v, u):
-            key = (-state.deg_b[u], u)
+        if state.is_free(v, u):
+            key = (-degree_b(state, u), u)
             if best is None or key < best:
                 best = key
     if best is not None:
@@ -220,7 +208,7 @@ def chase_move(state: GameState, mem: StrategyMemory) -> Move:
         if a in unvisited and b in unvisited:
             ends = [e for e in (a, b) if state.is_free(w, e)]
             if ends:
-                pick = max(ends, key=lambda e: (state.deg_b[e], -e))
+                pick = max(ends, key=lambda e: (degree_b(state, e), -e))
                 mem.path_order.append(pick)
                 return Move.claim(pick)
 
@@ -332,7 +320,7 @@ def find_free_triple(state: GameState, cycle: Sequence[int],
     for forbidden, skip, splice_from in scans:
         for i in range(size):
             triple = (cycle[i], cycle[(i + 1) % size], cycle[(i + 2) % size])
-            if any(t in forbidden or t in skip or state.deg_b[t] >= hub
+            if any(t in forbidden or t in skip or degree_b(state, t) >= hub
                    for t in triple):
                 continue
             if (splice_from is not None
@@ -358,7 +346,7 @@ def _close_cycle(state: GameState, mem: StrategyMemory) -> Move:
         mem.designated["last_spliced"] = None
     else:
         mem.stage = 4
-    return Move.claim(mem.start_vertex)
+    return Move.claim(mem.path_order[0])
 
 
 def _ladder_move(state: GameState, mem: StrategyMemory) -> Move:
@@ -371,7 +359,7 @@ def _ladder_move(state: GameState, mem: StrategyMemory) -> Move:
     remainder, preferring extensions that keep a clean closing edge.
     """
     tail = mem.designated["tail"]
-    v1 = mem.start_vertex
+    v1 = mem.path_order[0]
     pos = state.maker_pos
     unvisited = state.unvisited
 
@@ -538,36 +526,25 @@ def random_walker_move(state: GameState, rng: random.Random) -> Move:
 def greedy_breaker_move(state: GameState) -> Move:
     """Claim toward unvisited vertices, highest own degree first.
 
-    An unvisited target is the one ``_best_unvisited_target`` picks,
-    found from the tainted vertices alone. Only when none exists does
-    the policy scan every vertex: for a claim to a visited vertex, then
-    a traversal.
+    The placement is the first legal one. An unvisited target is the
+    one ``_best_unvisited_target`` picks, found from the tainted
+    vertices alone. Only when none exists does the policy read its
+    position's whole edge row: a claim to a visited vertex, then the
+    lowest traversal. That fallback reads the row itself, not
+    ``nth_move``, so it answers whoever is to move.
     """
     if state.breaker_pos is None:
-        for s in range(state.n):
-            for t in range(s + 1, state.n):
-                if state.is_free(s, t):
-                    return Move.place(s, t)
-        return Move.pass_()
+        return nth_move(state, Player.BREAKER, 0)
     pos = state.breaker_pos
     target = _best_unvisited_target(state, pos)
     if target is not None:
         return Move.claim(target)
-    best = None
-    traverse = None
-    for t in range(state.n):
-        if t == pos:
-            continue
-        o = state.owner(pos, t)
-        if o == FREE:
-            key = (-state.deg_b[t], t)
-            if best is None or key < best[0]:
-                best = (key, t)
-        elif o == BREAKER_OWNED and traverse is None:
-            traverse = t
-    if best is not None:
-        return Move.claim(best[1])
-    if traverse is not None:
+    row = state.rows[pos]
+    free = [t for t, c in enumerate(row) if c == FREE]
+    if free:
+        return Move.claim(min(free, key=lambda t: (-degree_b(state, t), t)))
+    traverse = row.find(BREAKER_OWNED)
+    if traverse >= 0:
         return Move.traverse(traverse)
     return Move.pass_()
 
@@ -654,13 +631,13 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
         # Home edge lost: the protected vertex was reached.
         return nth_move(state, Player.BREAKER, 0)
 
-    if mpos is not None and mpos != z and state.is_free(z, mpos):
+    if mpos is not None and state.is_free(z, mpos):
         return Move.claim(mpos)
 
     # Blocking edge already taken: spend the move on another fence edge.
     best = None
     for v in range(state.n):
-        if v == z or not state.is_free(z, v):
+        if not state.is_free(z, v):
             continue
         reach_by_walk = mpos is not None and state.owner(v, mpos) == MAKER_OWNED
         reach_by_claim = mpos is not None and state.is_free(v, mpos)
@@ -669,10 +646,7 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
             best = (key, v)
     if best is not None:
         return Move.claim(best[1])
-    for v in range(state.n):
-        if v != z and state.owner(z, v) == BREAKER_OWNED:
-            return Move.traverse(v)
-    return Move.pass_()
+    return nth_move(state, Player.BREAKER, 0)  # no free edge at z: traverse or pass
 
 
 def camper_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
@@ -695,15 +669,9 @@ def camper_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
     camp = named.setdefault("camp", pos)
     if pos == camp:
         for u in sorted(state.unvisited):
-            if u != camp and state.is_free(camp, u):
+            if state.is_free(camp, u):
                 return Move.claim(u)
-        for t in range(state.n):
-            if t != camp and state.is_free(camp, t):
-                return Move.claim(t)
-        for t in range(state.n):
-            if t != camp and state.owner(camp, t) == BREAKER_OWNED:
-                return Move.traverse(t)
-        return Move.pass_()
+        return nth_move(state, Player.BREAKER, 0)
     if state.owner(pos, camp) == BREAKER_OWNED:
         return Move.traverse(camp)
     if state.is_free(pos, camp):

@@ -38,6 +38,12 @@ def _typed(value, what: str, kind: type = int, nullable: bool = False):
     return value
 
 
+# The type each header field other than bias must have.
+_HEADER_TYPES = {"n": int, "first_player": str, "maker": str, "breaker": str,
+                 "goal": str, "seed": int, "move_cap": int, "n0": int,
+                 "monitors": bool, "strict": bool}
+
+
 @dataclass(frozen=True, slots=True)
 class Header:
     n: int
@@ -64,23 +70,13 @@ class Header:
         if not isinstance(bias, list) or len(bias) != 2:
             raise TranscriptFormatError(
                 f"header bias must be a pair of integers, got {bias!r}")
-        move_cap = _typed(obj["move_cap"], "header move_cap")
-        if move_cap < 1:
+        fields = {key: _typed(obj[key], f"header {key}", kind)
+                  for key, kind in _HEADER_TYPES.items()}
+        if fields["move_cap"] < 1:
             raise TranscriptFormatError(
-                f"header move_cap must be at least 1, got {move_cap}")
-        return Header(
-            n=_typed(obj["n"], "header n"),
-            bias=tuple(_typed(b, "header bias entry") for b in bias),
-            first_player=_typed(obj["first_player"], "header first_player", str),
-            maker=_typed(obj["maker"], "header maker", str),
-            breaker=_typed(obj["breaker"], "header breaker", str),
-            goal=_typed(obj["goal"], "header goal", str),
-            seed=_typed(obj["seed"], "header seed"),
-            move_cap=move_cap,
-            n0=_typed(obj["n0"], "header n0"),
-            monitors=_typed(obj["monitors"], "header monitors", bool),
-            strict=_typed(obj["strict"], "header strict", bool),
-        )
+                f"header move_cap must be at least 1, got {fields['move_cap']}")
+        return Header(bias=tuple(_typed(b, "header bias entry") for b in bias),
+                      **fields)
 
 
 @dataclass(frozen=True, slots=True)

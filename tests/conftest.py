@@ -74,9 +74,6 @@ def brute_force_value(state: GameState, goal: str, budget: int,
 def relabel_state(state: GameState, perm) -> GameState:
     """The same position with vertices renamed by ``perm``."""
     n = state.n
-    deg_b = [0] * n
-    for v in range(n):
-        deg_b[perm[v]] = state.deg_b[v]
 
     def pv(v):
         return None if v is None else perm[v]
@@ -95,7 +92,6 @@ def relabel_state(state: GameState, perm) -> GameState:
         breaker_pos=pv(state.breaker_pos),
         unvisited={perm[v] for v in state.unvisited},
         breaker_touched={perm[v] for v in state.breaker_touched},
-        deg_b=deg_b,
         maker_edges=maker_edges,
         breaker_edges=breaker_edges,
         round=state.round,
@@ -128,17 +124,13 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
                 first_player=Player.BREAKER, round=1) -> GameState:
     """A consistent synthetic position from explicit edge lists.
 
-    Derived fields (edge rows, unvisited set, degrees, counters) are
+    Derived fields (edge rows, unvisited set, counters) are
     recomputed from the lists, so policy unit tests can pose exact
     mid-game situations without replaying a move sequence.
     """
     maker_edges = [tuple(sorted(e)) for e in maker_edges]
     breaker_edges = [tuple(sorted(e)) for e in breaker_edges]
     rows = edge_rows(n, maker_edges, breaker_edges)
-    deg_b = [0] * n
-    for a, b in breaker_edges:
-        deg_b[a] += 1
-        deg_b[b] += 1
     touched = {v for e in maker_edges for v in e}
     return GameState(
         n=n,
@@ -149,7 +141,6 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
         breaker_pos=breaker_pos,
         unvisited=set(range(n)) - touched,
         breaker_touched={v for e in breaker_edges for v in e},
-        deg_b=deg_b,
         maker_edges=maker_edges,
         breaker_edges=breaker_edges,
         round=round,

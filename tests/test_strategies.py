@@ -14,6 +14,7 @@ from conftest import (
     pass_only_states,
     random_maker_states,
     random_playout_states,
+    recomputed_degrees,
 )
 
 from walkergames.engine import (
@@ -79,7 +80,6 @@ class TestChaseOpening:
         state = _played(10, Move.place(3, 7))
         mem = StrategyMemory()
         assert chase_move(state, mem) == Move.place(7, 0)
-        assert mem.start_vertex == 7
         assert mem.path_order == [7, 0]
 
     def test_partner_skips_opponent_degree(self):
@@ -92,7 +92,7 @@ class TestChaseOpening:
         state = new_game(8, Bias(1, 1), Player.MAKER)
         mem = StrategyMemory()
         assert chase_move(state, mem) == Move.place(0, 1)
-        assert mem.start_vertex == 0
+        assert mem.path_order[0] == 0
 
 
 class TestChasePriorities:
@@ -388,7 +388,6 @@ class TestHamiltonStages:
         # opponent; 1 keeps the closing edge clean.
         mem = StrategyMemory()
         mem.stage = 2
-        mem.start_vertex = 3
         mem.path_order = list(range(3, 12))
         mem.designated["tail"] = []
         state = build_state(
@@ -404,7 +403,6 @@ class TestHamiltonStages:
     def test_tail_closes_to_start_when_free(self):
         mem = StrategyMemory()
         mem.stage = 2
-        mem.start_vertex = 3
         mem.path_order = list(range(3, 12))
         mem.designated["tail"] = [1]
         state = build_state(
@@ -789,19 +787,20 @@ class TestPolicyLegality:
 # The tainted-set shortcuts against the full scans they replace
 # ---------------------------------------------------------------------------
 
-def _scan_best_unvisited(state, v):
+def _scan_best_unvisited(state, v, deg):
     """Reference: every unvisited u != v with a free edge from v, best by
-    (highest opponent degree, lowest index)."""
+    (highest opponent degree, lowest index). ``deg`` lists the Breaker
+    degrees, recomputed from the claimed-edge lists."""
     best = None
     for u in state.unvisited:
         if u != v and state.is_free(v, u):
-            key = (-state.deg_b[u], u)
+            key = (-deg[u], u)
             if best is None or key < best:
                 best = key
     return None if best is None else best[1]
 
 
-def _scan_chase(state):
+def _scan_chase(state, deg):
     """Reference pursuit choice from full scans; None where chase_move
     would relocate or raise."""
     w = state.maker_pos
@@ -810,12 +809,12 @@ def _scan_chase(state):
         if a in unvisited and b in unvisited:
             ends = [e for e in (a, b) if state.is_free(w, e)]
             if ends:
-                return Move.claim(max(ends, key=lambda e: (state.deg_b[e], -e)))
-    target = _scan_best_unvisited(state, w)
+                return Move.claim(max(ends, key=lambda e: (deg[e], -e)))
+    target = _scan_best_unvisited(state, w, deg)
     return None if target is None else Move.claim(target)
 
 
-def _scan_greedy(state):
+def _scan_greedy(state, deg):
     """Reference greedy Breaker move from one scan of every vertex."""
     pos = state.breaker_pos
     best = None
@@ -825,7 +824,7 @@ def _scan_greedy(state):
             continue
         o = state.owner(pos, t)
         if o == FREE:
-            key = (0 if t in state.unvisited else 1, -state.deg_b[t], t)
+            key = (0 if t in state.unvisited else 1, -deg[t], t)
             if best is None or key < best[0]:
                 best = (key, t)
         elif o == BREAKER_OWNED and traverse is None:
@@ -847,13 +846,14 @@ class TestTaintedShortcuts:
             n = state.n
             most_tainted = max(most_tainted,
                                len(state.unvisited & state.breaker_touched))
+            deg = recomputed_degrees(state)[1]
             for v in range(n):
                 assert (_best_unvisited_target(state, v)
-                        == _scan_best_unvisited(state, v)), (v, state)
+                        == _scan_best_unvisited(state, v, deg)), (v, state)
             if state.breaker_pos is not None:
-                assert greedy_breaker_move(state) == _scan_greedy(state)
+                assert greedy_breaker_move(state) == _scan_greedy(state, deg)
             if state.maker_pos is not None:
-                expected = _scan_chase(state)
+                expected = _scan_chase(state, deg)
                 if expected is not None:
                     assert chase_move(state, StrategyMemory()) == expected
             visited = set(range(n)) - state.unvisited
@@ -881,6 +881,106 @@ class TestTaintedShortcuts:
         assert _best_unvisited_target(state, 1) == 7
         # From 7 both tainted neighbours are the Breaker's: fall back.
         assert _best_unvisited_target(state, 7) == 2
+
+
+
+# ---------------------------------------------------------------------------
+# First legal moves against the scans that nth_move replaced
+# ---------------------------------------------------------------------------
+
+def _scan_first_placement(state):
+    """Reference greedy placement: the first free edge by (low, high)."""
+    for s in range(state.n):
+        for t in range(s + 1, state.n):
+            if state.is_free(s, t):
+                return Move.place(s, t)
+    return Move.pass_()
+
+
+def _scan_camper_at_camp(state):
+    """Reference camper move with its camp at the Breaker's position: the
+    lowest unvisited vertex it can claim, else the lowest vertex it can
+    claim, else the lowest traversal, else pass."""
+    camp = state.breaker_pos
+    for u in sorted(state.unvisited):
+        if u != camp and state.is_free(camp, u):
+            return Move.claim(u)
+    for t in range(state.n):
+        if t != camp and state.is_free(camp, t):
+            return Move.claim(t)
+    for t in range(state.n):
+        if t != camp and state.owner(camp, t) == BREAKER_OWNED:
+            return Move.traverse(t)
+    return Move.pass_()
+
+
+def _scan_isolating_at_fence(state):
+    """Reference isolating move standing on its protected vertex z, the
+    Breaker's position: block the Maker, else claim the fence edge she
+    reaches most easily, else the lowest traversal, else pass."""
+    z = state.breaker_pos
+    mpos = state.maker_pos
+    if mpos is not None and mpos != z and state.is_free(z, mpos):
+        return Move.claim(mpos)
+    best = None
+    for v in range(state.n):
+        if v == z or not state.is_free(z, v):
+            continue
+        reach_by_walk = mpos is not None and state.owner(v, mpos) == MAKER_OWNED
+        reach_by_claim = mpos is not None and state.is_free(v, mpos)
+        key = (0 if reach_by_walk else 1, 0 if reach_by_claim else 1, v)
+        if best is None or key < best[0]:
+            best = (key, v)
+    if best is not None:
+        return Move.claim(best[1])
+    for v in range(state.n):
+        if v != z and state.owner(z, v) == BREAKER_OWNED:
+            return Move.traverse(v)
+    return Move.pass_()
+
+
+def _breaker_to_move_states():
+    """States with the Breaker to move: from random-Maker games against
+    the random and camper Breakers, then the pass-only positions."""
+    for breaker in ("random", "camper"):
+        for bias in ((1, 1), (1, 2)):
+            for first in Player:
+                for state in random_maker_states(breaker, bias, first):
+                    if state.to_move is Player.BREAKER:
+                        yield state
+    for state in pass_only_states():
+        if state.to_move is Player.BREAKER:
+            yield state
+
+
+class TestFirstLegalScans:
+    def test_policies_match_the_scans_nth_move_replaced(self):
+        fallbacks = {"camper": set(), "isolating": set()}
+        for state in _breaker_to_move_states():
+            # Every board is also posed as a placement: the same rows,
+            # with the Breaker not yet placed.
+            unplaced = dataclasses.replace(state, breaker_pos=None)
+            assert (greedy_breaker_move(unplaced)
+                    == _scan_first_placement(unplaced)), unplaced
+            pos = state.breaker_pos
+            if pos is None:
+                continue
+            mem = StrategyMemory()
+            mem.designated["camp"] = pos
+            move = camper_breaker_move(state, mem)
+            assert move == _scan_camper_at_camp(state), state
+            if move.target not in state.unvisited:
+                fallbacks["camper"].add(move.kind)
+            mem = StrategyMemory()
+            mem.designated["target"] = pos
+            move = isolating_breaker2_move(state, mem)
+            assert move == _scan_isolating_at_fence(state), state
+            if move.kind is not MoveKind.CLAIM:
+                fallbacks["isolating"].add(move.kind)
+        assert fallbacks == {
+            "camper": {MoveKind.CLAIM, MoveKind.TRAVERSE, MoveKind.PASS},
+            "isolating": {MoveKind.TRAVERSE, MoveKind.PASS},
+        }
 
 
 BIASES = [(1, 1), (1, 2), (2, 1)]
