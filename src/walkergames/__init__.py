@@ -47,7 +47,6 @@ from .runner import (
 from .strategies import (
     BREAKER_IDS,
     MAKER_IDS,
-    S_BASED_MAKERS,
     Policy,
     ScriptError,
     StrategyAssertionError,
@@ -79,7 +78,7 @@ __all__ = [
     "solve_from_state",
     "GameConfig", "GameResult", "ReplayMismatchError", "replay_transcript",
     "run_game",
-    "BREAKER_IDS", "MAKER_IDS", "S_BASED_MAKERS", "Policy", "ScriptError",
+    "BREAKER_IDS", "MAKER_IDS", "Policy", "ScriptError",
     "StrategyAssertionError", "StrategyMemory", "make_policy", "parse_script",
     "Footer", "Header", "MoveRecord", "Transcript", "TranscriptFormatError",
     "parse_transcript", "read_transcript", "write_transcript",

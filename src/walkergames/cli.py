@@ -42,7 +42,7 @@ from .runner import (
     replay_transcript,
     run_game,
 )
-from .strategies import BREAKER_IDS, MAKER_IDS, ScriptError
+from .strategies import BREAKER_IDS, BREAKERS, MAKER_IDS, MAKERS, ScriptError
 from .transcript import TranscriptFormatError, parse_transcript, write_transcript
 
 EXIT_CLEAN = 0
@@ -93,18 +93,11 @@ def _parse_int_list(text: str, flag: str) -> list:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
-def _auto_bound(goal: str, maker: str, n: int) -> Optional[int]:
-    # Guaranteed totals exist only for the constructive strategies.
-    if goal == "connectivity" and maker == "connectivity":
-        return n + 1
-    if goal == "hamilton" and maker == "hamilton":
-        return n + 6
-    return None
-
-
 def _resolve_bound(spec: str, goal: str, maker: str, n: int) -> Optional[int]:
     if spec == "auto":
-        return _auto_bound(goal, maker, n)
+        # Guaranteed totals exist only for the constructive strategies.
+        slack = MAKERS[maker].bounds.get(goal)
+        return None if slack is None else n + slack
     if spec == "none":
         return None
     try:
@@ -198,12 +191,11 @@ def _cmd_verify(args) -> int:
     sizes = _parse_int_list(args.n, "--n")
     makers = [m for m in args.makers.split(",") if m]
     breakers = [b for b in args.breakers.split(",") if b]
-    for m in makers:
-        if m not in MAKER_IDS or m == "scripted":
-            raise UsageError(f"verify cannot sweep maker {m!r}")
-    for b in breakers:
-        if b not in BREAKER_IDS or b == "scripted":
-            raise UsageError(f"verify cannot sweep breaker {b!r}")
+    for side, names, specs in (("maker", makers, MAKERS),
+                               ("breaker", breakers, BREAKERS)):
+        for name in names:
+            if name not in specs or specs[name].scripted:
+                raise UsageError(f"verify cannot sweep {side} {name!r}")
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
 

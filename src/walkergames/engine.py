@@ -493,6 +493,19 @@ def hamilton_won(state: GameState, certificate: Optional[Sequence[int]] = None) 
     return extend(start, 1)
 
 
+def goal_reached(state: GameState, goal: str,
+                 certificate: Optional[Sequence[int]] = None,
+                 search: bool = True) -> bool:
+    """True iff the Maker's edges meet ``goal``. A Hamilton cycle is
+    checked through the certificate when given, else by exhaustive
+    search when ``search`` is set, else counts as unreached."""
+    if goal == "connectivity":
+        return connectivity_won(state)
+    if certificate is not None:
+        return hamilton_won(state, certificate)
+    return search and hamilton_won(state)
+
+
 def snapshot(state: GameState) -> dict:
     """Compact JSON-able summary of a state, for diagnostics."""
     return {

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import Bias, GameState, Move, MoveKind, Player, degree_b
-from .strategies import S_BASED_MAKERS
+from .strategies import MAKERS
 
 CHECK_NAMES = (
     "breaker_edges_touch_maker",
@@ -152,13 +152,6 @@ def maker_edges_form_simple_path(state: GameState) -> bool:
     return steps == len(edges)
 
 
-def pursuit_move_limit(maker_id: str, n: int) -> int:
-    """Number of Maker moves the pursuit phase covers for this policy."""
-    if maker_id == "chase":
-        return n - 3
-    return n - 4  # connectivity and hamilton leave pursuit one move earlier
-
-
 class MonitorSuite:
     """Observes applied moves and scores the guarantee checks."""
 
@@ -170,9 +163,10 @@ class MonitorSuite:
         self.bias = bias
         self.first_player = first_player
         self.enabled = enabled
+        spec = MAKERS[maker_id]
         self.armed = (enabled
                       and n >= n0
-                      and maker_id in S_BASED_MAKERS
+                      and spec.pursuit
                       and tuple(bias[:2]) == (1, 1)
                       and first_player is Player.BREAKER)
         self.checks = {name: CheckStats() for name in CHECK_NAMES}
@@ -180,7 +174,7 @@ class MonitorSuite:
         self.pass_entries: list = []
         self._index = -1
         self._prev_round_breaker_end: Optional[int] = None
-        self._pursuit_limit = pursuit_move_limit(maker_id, n)
+        self._pursuit_limit = n - spec.pursuit_left
 
     # -- event handling ----------------------------------------------------
 

@@ -66,10 +66,9 @@ from .engine import (
     Move,
     Player,
     apply_move,
-    connectivity_won,
     edge_count,
     edge_index,
-    hamilton_won,
+    goal_reached,
     new_game,
 )
 
@@ -453,13 +452,7 @@ def cross_validate(result: SolveResult,
     except IllegalMoveError:
         return False
 
-    def reached(s: GameState) -> bool:
-        if result.goal == "connectivity":
-            return connectivity_won(s)
-        return hamilton_won(s)
-
+    reached = goal_reached(state, result.goal)
     if result.outcome == "maker":
-        if not reached(state):
-            return False
-        return state.maker_moves - spent == result.maker_moves_to_win
-    return not reached(state)
+        return reached and state.maker_moves - spent == result.maker_moves_to_win
+    return not reached

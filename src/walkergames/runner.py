@@ -16,8 +16,10 @@ must still be running, and on the replayed final position.
 * a strategy assertion ends the game immediately, Breaker wins;
 * otherwise the goal predicate on the final position decides a Maker
   win ("goal"): connectivity directly, a Hamilton cycle through the
-  recorded certificate when one exists, by exhaustive search only for
-  non-constructive Makers on boards small enough to search;
+  recorded certificate when one exists, else by exhaustive search for
+  a Maker that does not certify her own cycle. Such a Maker's Hamilton
+  game above the search limit could never be decided, so ``run_game``
+  and ``replay_transcript`` refuse it;
 * otherwise, in strict-monitor runs a violation ends the game with no
   winner ("monitor");
 * otherwise reaching the Maker move cap is a Breaker win ("cap");
@@ -46,13 +48,13 @@ from .engine import (
     MoveKind,
     Player,
     apply_move,
-    connectivity_won,
     edge_count,
+    goal_reached,
     hamilton_won,
     new_game,
 )
 from .monitors import DEFAULT_N0, MonitorSuite
-from .strategies import BREAKER_IDS, MAKER_IDS, StrategyAssertionError, make_policy
+from .strategies import MAKERS, StrategyAssertionError, make_policy, spec_of
 from .transcript import Footer, Header, MoveRecord, Transcript
 
 
@@ -98,15 +100,16 @@ class GameResult:
         return self.final_state.maker_moves
 
 
-def _goal_reached(goal: str, maker_id: str, state: GameState,
-                  certificate: Optional[list]) -> bool:
-    if goal == "connectivity":
-        return connectivity_won(state)
-    if certificate is not None:
-        return hamilton_won(state, certificate)
-    if maker_id != "hamilton" and state.n <= HAMILTON_SEARCH_LIMIT:
-        return hamilton_won(state)
-    return False
+def _check_maker(maker: str, goal: str, n: int):
+    """Raise ValueError for an unknown Maker id, or for a game whose
+    verdict cannot be decided: a Hamilton goal above the search limit
+    for a Maker that does not certify her own cycle."""
+    spec = spec_of(Player.MAKER, maker)
+    if goal == "hamilton" and not spec.certifies and n > HAMILTON_SEARCH_LIMIT:
+        raise ValueError(
+            f"maker {maker!r} does not certify a Hamilton cycle, and the "
+            f"search for one is capped at n <= {HAMILTON_SEARCH_LIMIT}; "
+            f"the goal at n={n} cannot be decided")
 
 
 def deduce_outcome(header: Header, final_state: GameState,
@@ -115,7 +118,8 @@ def deduce_outcome(header: Header, final_state: GameState,
     """(winner, reason) from the recorded evidence alone."""
     if assertion_present:
         return ("breaker", "assertion")
-    if _goal_reached(header.goal, header.maker, final_state, certificate):
+    if goal_reached(final_state, header.goal, certificate,
+                    search=not MAKERS[header.maker].certifies):
         return ("maker", "goal")
     if header.strict and monitor_violation:
         return ("none", "monitor")
@@ -177,6 +181,7 @@ def run_game(config: GameConfig,
     if move_cap < 1:
         raise ValueError("move cap must be positive")
     state = new_game(config.n, bias, config.first_player)
+    _check_maker(config.maker, config.goal, config.n)
     if policies is not None:
         maker, breaker = policies
     else:
@@ -312,11 +317,11 @@ def replay_transcript(transcript: Transcript) -> dict:
         raise ReplayMismatchError("header", str(exc)) from exc
     if header.goal not in GOALS:
         raise ReplayMismatchError("header", f"unknown goal {header.goal!r}")
-    for side, name, ids in (("maker", header.maker, MAKER_IDS),
-                            ("breaker", header.breaker, BREAKER_IDS)):
-        if name not in ids:
-            raise ReplayMismatchError(
-                "header", f"unknown {side} strategy {name!r}")
+    try:
+        _check_maker(header.maker, header.goal, header.n)
+        spec_of(Player.BREAKER, header.breaker)
+    except ValueError as exc:
+        raise ReplayMismatchError("header", str(exc)) from exc
     footer = transcript.footer
     if footer is None:
         raise ReplayMismatchError(

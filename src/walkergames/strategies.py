@@ -749,11 +749,6 @@ def scripted_move(state: GameState, mem: StrategyMemory) -> Move:
 # Registry
 # ---------------------------------------------------------------------------
 
-# Makers built on the pursuit policy: the invariant monitors arm only
-# for these.
-S_BASED_MAKERS = frozenset({"chase", "connectivity", "hamilton"})
-
-
 @dataclass
 class Policy:
     """A named strategy bound to its per-game memory."""
@@ -784,42 +779,65 @@ def _random_move(state: GameState, mem: StrategyMemory) -> Move:
     return random_walker_move(state, mem.rng)
 
 
-# Each side's strategy ids, in the order the command line lists them,
-# mapped to their move functions.
-MAKER_POLICIES = {
-    "chase": chase_move,
-    "connectivity": connectivity_maker_move,
-    "hamilton": hamilton_maker_move,
-    "random": _random_move,
-    "scripted": scripted_move,
+@dataclass(frozen=True)
+class StrategySpec:
+    """One strategy id's facts, each stated once."""
+
+    move: Callable  # called with (state, memory)
+    pursuit: bool = False  # pursuit-based: the monitors arm only for these
+    # The pursuit phase covers the first n - pursuit_left Maker moves; the
+    # monitor report records that length for every Maker.
+    pursuit_left: int = 4
+    certifies: bool = False  # hands over its own Hamilton cycle; never searched
+    bounds: dict = field(default_factory=dict)  # goal -> s: wins within n + s moves
+    scripted: bool = False  # plays a script, so verify cannot sweep it
+    preset: dict = field(default_factory=dict)  # initial memory.designated
+
+
+# Each side's strategy ids, in the order the command line lists them.
+MAKERS = {
+    "chase": StrategySpec(chase_move, pursuit=True, pursuit_left=3),
+    "connectivity": StrategySpec(connectivity_maker_move, pursuit=True,
+                                 bounds={"connectivity": 1}),
+    "hamilton": StrategySpec(hamilton_maker_move, pursuit=True,
+                             certifies=True, bounds={"hamilton": 6}),
+    "random": StrategySpec(_random_move),
+    "scripted": StrategySpec(scripted_move, scripted=True),
 }
-BREAKER_POLICIES = {
-    "random": _random_move,
-    "greedy": lambda state, mem: greedy_breaker_move(state),
-    "delaying": delaying_breaker_move,
-    "delaying-greedy": delaying_breaker_move,  # wanders greedily
-    "camper": camper_breaker_move,
-    "isolating": isolating_breaker2_move,
-    "scripted": scripted_move,
+BREAKERS = {
+    "random": StrategySpec(_random_move),
+    "greedy": StrategySpec(lambda state, mem: greedy_breaker_move(state)),
+    "delaying": StrategySpec(delaying_breaker_move),
+    "delaying-greedy": StrategySpec(delaying_breaker_move,
+                                    preset={"phase1": "greedy"}),
+    "camper": StrategySpec(camper_breaker_move),
+    "isolating": StrategySpec(isolating_breaker2_move),
+    "scripted": StrategySpec(scripted_move, scripted=True),
 }
-MAKER_IDS = tuple(MAKER_POLICIES)
-BREAKER_IDS = tuple(BREAKER_POLICIES)
+MAKER_IDS = tuple(MAKERS)
+BREAKER_IDS = tuple(BREAKERS)
+
+
+def spec_of(player: Player, name: str) -> StrategySpec:
+    """The spec registered under ``name`` for ``player``'s side.
+    Raises ValueError for an unknown id."""
+    specs = MAKERS if player is Player.MAKER else BREAKERS
+    if name not in specs:
+        raise ValueError(f"unknown {player.value} strategy {name!r}; "
+                         f"choose from {', '.join(specs)}")
+    return specs[name]
 
 
 def make_policy(player: Player, name: str, seed: int,
                 script_text: Optional[str] = None) -> Policy:
     """Construct a policy by id. Raises ValueError for unknown ids and
     ScriptError for scripted policies with a bad or missing script."""
-    policies = MAKER_POLICIES if player is Player.MAKER else BREAKER_POLICIES
-    if name not in policies:
-        raise ValueError(f"unknown {player.value} strategy {name!r}; "
-                         f"choose from {', '.join(policies)}")
-    mem = StrategyMemory(rng_seed=_rng_seed_for(player, seed))
-    if name == "scripted":
+    spec = spec_of(player, name)
+    mem = StrategyMemory(rng_seed=_rng_seed_for(player, seed),
+                         designated=dict(spec.preset))
+    if spec.scripted:
         if script_text is None:
             raise ScriptError("scripted strategy needs a script")
         mem.designated["script"] = parse_script(script_text)
         mem.designated["cursor"] = 0
-    elif name == "delaying-greedy":
-        mem.designated["phase1"] = "greedy"
-    return Policy(name=name, player=player, memory=mem, _fn=policies[name])
+    return Policy(name=name, player=player, memory=mem, _fn=spec.move)

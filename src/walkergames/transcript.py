@@ -181,6 +181,8 @@ def parse_transcript(text: str) -> Transcript:
             objs.append(json.loads(ln))
         except json.JSONDecodeError as exc:
             raise TranscriptFormatError(f"line {i + 1} is not JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise TranscriptFormatError(f"line {i + 1} nests too deeply") from exc
     head = objs[0]
     if not isinstance(head, dict) or head.get("record") != "header":
         raise TranscriptFormatError("first line is not a header record")

@@ -26,11 +26,10 @@ from walkergames.monitors import (
     breaker_edges_all_touch_maker,
     maker_edges_form_simple_path,
     position_unvisited_degree,
-    pursuit_move_limit,
     tainted_unvisited_count,
 )
 from walkergames.runner import GameConfig, run_game
-from walkergames.strategies import make_policy
+from walkergames.strategies import MAKERS, make_policy
 
 
 def _suite(n=20, maker="chase", bias=(1, 1), first=Player.BREAKER, **kw):
@@ -83,9 +82,9 @@ class TestPredicates:
         assert maker_edges_form_simple_path(state) is ok
 
     def test_pursuit_window_lengths(self):
-        assert pursuit_move_limit("chase", 20) == 17
-        assert pursuit_move_limit("connectivity", 20) == 16
-        assert pursuit_move_limit("hamilton", 20) == 16
+        assert 20 - MAKERS["chase"].pursuit_left == 17
+        assert 20 - MAKERS["connectivity"].pursuit_left == 16
+        assert 20 - MAKERS["hamilton"].pursuit_left == 16
 
 
 class TestArming:

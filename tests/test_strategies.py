@@ -43,7 +43,7 @@ from walkergames.runner import (
 from walkergames.strategies import (
     BREAKER_IDS,
     MAKER_IDS,
-    S_BASED_MAKERS,
+    MAKERS,
     ScriptError,
     StrategyAssertionError,
     StrategyMemory,
@@ -691,8 +691,8 @@ class TestRegistry:
         assert breaker.memory.rng_seed == 10
 
     def test_pursuit_based_ids(self):
-        assert S_BASED_MAKERS == {"chase", "connectivity", "hamilton"}
-        assert set(S_BASED_MAKERS) <= set(MAKER_IDS)
+        pursuit = {m for m, spec in MAKERS.items() if spec.pursuit}
+        assert pursuit == {"chase", "connectivity", "hamilton"}
 
     def test_same_seed_same_move(self):
         state = new_game(9, Bias(1, 1), Player.BREAKER)
@@ -751,7 +751,7 @@ class TestPolicyLegality:
                 14, maker, "isolating", seed, bias=(1, 2),
                 first=Player.MAKER, max_plies=200)
             if assertion is not None:
-                assert maker in S_BASED_MAKERS
+                assert MAKERS[maker].pursuit
 
     def test_pursuit_keeps_a_simple_path(self):
         state = new_game(20, Bias(1, 1), Player.BREAKER)

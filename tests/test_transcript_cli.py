@@ -514,6 +514,39 @@ class TestExitCodes:
         assert "error[header]" in err
         assert f"unknown {side} strategy 'nobody'" in err
 
+    def test_undecidable_hamilton_game_is_refused(self, tmp_path, capsys):
+        # Above the search limit only a certifying Maker's Hamilton game
+        # has a verdict; run, verify and replay all refuse the others.
+        for maker in ("random", "chase"):
+            assert cli.main(["run", "--n", "21", "--maker", maker,
+                             "--goal", "hamilton"]) == 4
+            assert "error[value]" in capsys.readouterr().err
+        assert cli.main(["verify", "--n", "21", "--makers", "random",
+                         "--breakers", "random", "--goal", "hamilton",
+                         "--games", "1"]) == 4
+        captured = capsys.readouterr()
+        assert "error[value]" in captured.err
+        assert captured.out == ""
+        text = _game(n=21, maker="random", seed=1).transcript.dumps()
+        path = tmp_path / "undecidable.jsonl"
+        path.write_text(_mutate_line(text, 0,
+                                     lambda o: o.update(goal="hamilton")))
+        assert cli.main(["replay", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "error[header]" in err
+        assert "cannot be decided" in err
+
+    @pytest.mark.parametrize("line", [
+        "[" * 200_000,
+        '{"a":' * 200_000,
+        "[" * 200_000 + "]" * 200_000,
+    ])
+    def test_deeply_nested_line_exits_4(self, tmp_path, capsys, line):
+        path = tmp_path / "nested.jsonl"
+        path.write_text(line + "\n")
+        assert cli.main(["replay", str(path)]) == 4
+        assert "error[transcript-format]" in capsys.readouterr().err
+
     # Each case reaches one rejection in replay or in the parser; the
     # detail pins which one.
     @pytest.mark.parametrize("line,changes,tag,detail", [
