@@ -37,13 +37,17 @@ from .monitors import DEFAULT_N0
 from .oracle import ORACLE_MAX_N, OracleLimitError, cross_validate, solve
 from .runner import (
     GameConfig,
-    GameResult,
     ReplayMismatchError,
     replay_transcript,
     run_game,
 )
 from .strategies import BREAKER_IDS, BREAKERS, MAKER_IDS, MAKERS, ScriptError
-from .transcript import TranscriptFormatError, parse_transcript, write_transcript
+from .transcript import (
+    Footer,
+    TranscriptFormatError,
+    parse_transcript,
+    write_transcript,
+)
 
 EXIT_CLEAN = 0
 EXIT_BOUND = 1
@@ -109,22 +113,16 @@ def _resolve_bound(spec: str, goal: str, maker: str, n: int) -> Optional[int]:
     return value
 
 
-def _severity_of(assertion_present: bool, monitor_report: Optional[dict],
-                 winner: str, maker_moves: int, bound: Optional[int]) -> int:
-    if assertion_present:
+def _severity(footer: Footer, bound: Optional[int]) -> int:
+    if footer.assertion is not None:
         return EXIT_ASSERTION
-    if (monitor_report and monitor_report.get("armed")
-            and not monitor_report.get("clean")):
+    report = footer.monitors
+    if report and report.get("armed") and not report.get("clean"):
         return EXIT_MONITOR
     if bound is not None:
-        if winner != "maker" or maker_moves > bound:
+        if footer.winner != "maker" or footer.maker_move_count > bound:
             return EXIT_BOUND
     return EXIT_CLEAN
-
-
-def _severity(result: GameResult, bound: Optional[int]) -> int:
-    return _severity_of(result.assertion is not None, result.monitor_report,
-                        result.winner, result.maker_move_count, bound)
 
 
 def _read_script(path: Optional[str]) -> Optional[str]:
@@ -180,7 +178,7 @@ def _cmd_run(args) -> int:
         file=sys.stderr)
     if result.assertion is not None:
         print(f"assertion: {result.assertion}", file=sys.stderr)
-    return _severity(result, bound)
+    return _severity(result.transcript.footer, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +186,8 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    if args.games < 0:
+        raise UsageError("--games must be at least 0")
     sizes = _parse_int_list(args.n, "--n")
     makers = [m for m in args.makers.split(",") if m]
     breakers = [b for b in args.breakers.split(",") if b]
@@ -214,7 +214,7 @@ def _cmd_verify(args) -> int:
                     seed = args.seed_base + offset
                     config = _config_from_args(args, n, maker, breaker, seed)
                     result = run_game(config)
-                    sev = _severity(result, bound)
+                    sev = _severity(result.transcript.footer, bound)
                     worst = max(worst, sev)
                     if result.winner == "maker":
                         wins += 1
@@ -268,22 +268,24 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_replay(args) -> int:
-    if args.transcript == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.transcript, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if args.transcript == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.transcript, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TranscriptFormatError(f"transcript is not UTF-8: {exc}") from exc
     transcript = parse_transcript(text)
-    summary = replay_transcript(transcript)
+    footer = replay_transcript(transcript)
     header = transcript.header
     bound = _resolve_bound(args.bound, header.goal, header.maker, header.n)
-    print(f"replay ok: {summary['entries']} moves, winner={summary['winner']} "
-          f"reason={summary['reason']} maker_moves={summary['maker_move_count']}")
+    print(f"replay ok: {len(transcript.entries)} moves, "
+          f"winner={footer.winner} reason={footer.reason} "
+          f"maker_moves={footer.maker_move_count}")
     # The record is faithful; the exit status still surfaces what the
     # recorded game itself established.
-    return _severity_of(summary["assertion"] is not None,
-                        summary["monitor_report"], summary["winner"],
-                        summary["maker_move_count"], bound)
+    return _severity(footer, bound)
 
 
 # ---------------------------------------------------------------------------

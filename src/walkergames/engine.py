@@ -177,6 +177,16 @@ MAX_N = 4096
 DEFAULT_MOVE_CAP_FACTOR = 10
 
 
+def resolve_move_cap(n: int, cap: Optional[int]) -> int:
+    """The Maker move cap: ``cap``, or the default for n when it is None.
+    Raises ValueError for a cap below 1."""
+    if cap is None:
+        cap = DEFAULT_MOVE_CAP_FACTOR * n
+    if cap < 1:
+        raise ValueError("move cap must be positive")
+    return cap
+
+
 def new_game(n: int, bias: Bias = Bias(1, 1),
              first_player: Player = Player.BREAKER) -> GameState:
     """Fresh game: all edges free, no positions, every vertex unvisited.

@@ -58,7 +58,6 @@ from itertools import permutations
 from typing import Optional
 
 from .engine import (
-    DEFAULT_MOVE_CAP_FACTOR,
     GOALS,
     Bias,
     GameState,
@@ -70,6 +69,7 @@ from .engine import (
     edge_index,
     goal_reached,
     new_game,
+    resolve_move_cap,
 )
 
 ORACLE_MAX_N = 5
@@ -386,8 +386,7 @@ def solve_from_state(state: GameState, goal: str,
         raise ValueError("exact solving covers one move per side per turn")
     if state.moves_left_in_turn != state.bias.per_turn(state.to_move):
         raise ValueError("exact solving starts at a turn boundary")
-    cap = (move_cap if move_cap is not None
-           else DEFAULT_MOVE_CAP_FACTOR * state.n)
+    cap = resolve_move_cap(state.n, move_cap)
     remaining = max(cap - state.maker_moves, 0)
     solver = _Solver(state.n, goal, node_limit)
     position = _internal_from_state(state)

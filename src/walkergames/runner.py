@@ -18,8 +18,8 @@ must still be running, and on the replayed final position.
   win ("goal"): connectivity directly, a Hamilton cycle through the
   recorded certificate when one exists, else by exhaustive search for
   a Maker that does not certify her own cycle. Such a Maker's Hamilton
-  game above the search limit could never be decided, so ``run_game``
-  and ``replay_transcript`` refuse it;
+  game above the search limit could never be decided, so ``_start``,
+  which sets up both play and replay, refuses it;
 * otherwise, in strict-monitor runs a violation ends the game with no
   winner ("monitor");
 * otherwise reaching the Maker move cap is a Breaker win ("cap");
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import (
-    DEFAULT_MOVE_CAP_FACTOR,
     GOALS,
     HAMILTON_SEARCH_LIMIT,
     Bias,
@@ -52,6 +51,7 @@ from .engine import (
     goal_reached,
     hamilton_won,
     new_game,
+    resolve_move_cap,
 )
 from .monitors import DEFAULT_N0, MonitorSuite
 from .strategies import MAKERS, StrategyAssertionError, make_policy, spec_of
@@ -100,16 +100,30 @@ class GameResult:
         return self.final_state.maker_moves
 
 
-def _check_maker(maker: str, goal: str, n: int):
-    """Raise ValueError for an unknown Maker id, or for a game whose
-    verdict cannot be decided: a Hamilton goal above the search limit
-    for a Maker that does not certify her own cycle."""
-    spec = spec_of(Player.MAKER, maker)
-    if goal == "hamilton" and not spec.certifies and n > HAMILTON_SEARCH_LIMIT:
+def _start(header: Header) -> tuple:
+    """The fresh state and monitor suite of a game under ``header``.
+
+    Raises ValueError for a header that cannot be played: an unknown goal
+    or Maker, a bad board size, bias or first player, or a game whose
+    verdict cannot be decided, a Hamilton goal above the search limit for
+    a Maker that does not certify her own cycle.
+    """
+    if header.goal not in GOALS:
+        raise ValueError(f"unknown goal {header.goal!r}; choose from "
+                         f"{', '.join(GOALS)}")
+    bias = Bias(*header.bias)
+    first = Player(header.first_player)
+    state = new_game(header.n, bias, first)
+    spec = spec_of(Player.MAKER, header.maker)
+    if (header.goal == "hamilton" and not spec.certifies
+            and header.n > HAMILTON_SEARCH_LIMIT):
         raise ValueError(
-            f"maker {maker!r} does not certify a Hamilton cycle, and the "
-            f"search for one is capped at n <= {HAMILTON_SEARCH_LIMIT}; "
-            f"the goal at n={n} cannot be decided")
+            f"maker {header.maker!r} does not certify a Hamilton cycle, and "
+            f"the search for one is capped at n <= {HAMILTON_SEARCH_LIMIT}; "
+            f"the goal at n={header.n} cannot be decided")
+    suite = MonitorSuite(header.n, header.maker, bias, first,
+                         n0=header.n0, enabled=header.monitors)
+    return state, suite
 
 
 def deduce_outcome(header: Header, final_state: GameState,
@@ -172,16 +186,20 @@ def run_game(config: GameConfig,
     it has built through it. The header still records the configured
     strategy ids.
     """
-    if config.goal not in GOALS:
-        raise ValueError(f"unknown goal {config.goal!r}; choose from "
-                         f"{', '.join(GOALS)}")
-    bias = Bias(*config.bias)
-    move_cap = (config.move_cap if config.move_cap is not None
-                else DEFAULT_MOVE_CAP_FACTOR * config.n)
-    if move_cap < 1:
-        raise ValueError("move cap must be positive")
-    state = new_game(config.n, bias, config.first_player)
-    _check_maker(config.maker, config.goal, config.n)
+    header = Header(
+        n=config.n,
+        bias=tuple(config.bias),
+        first_player=config.first_player.value,
+        maker=config.maker,
+        breaker=config.breaker,
+        goal=config.goal,
+        seed=config.seed,
+        move_cap=resolve_move_cap(config.n, config.move_cap),
+        n0=config.n0,
+        monitors=config.monitors,
+        strict=config.strict,
+    )
+    state, suite = _start(header)
     if policies is not None:
         maker, breaker = policies
     else:
@@ -189,21 +207,6 @@ def run_game(config: GameConfig,
                             config.maker_script)
         breaker = make_policy(Player.BREAKER, config.breaker, config.seed,
                               config.breaker_script)
-    header = Header(
-        n=config.n,
-        bias=(bias.maker, bias.breaker),
-        first_player=config.first_player.value,
-        maker=config.maker,
-        breaker=config.breaker,
-        goal=config.goal,
-        seed=config.seed,
-        move_cap=move_cap,
-        n0=config.n0,
-        monitors=config.monitors,
-        strict=config.strict,
-    )
-    suite = MonitorSuite(config.n, config.maker, bias, config.first_player,
-                         n0=config.n0, enabled=config.monitors)
     entries: list = []
     assertion: Optional[StrategyAssertionError] = None
     certificate: Optional[list] = None
@@ -302,25 +305,18 @@ def _replay_entry(state: GameState, rec: MoveRecord,
     return after
 
 
-def replay_transcript(transcript: Transcript) -> dict:
+def replay_transcript(transcript: Transcript) -> Footer:
     """Re-execute a transcript and verify its footer.
 
-    Returns a summary dict on success. Raises ReplayMismatchError at
-    the first divergence between the record and re-execution.
+    Returns the re-derived footer, equal to the recorded one. Raises
+    ReplayMismatchError at the first divergence between the record and
+    re-execution.
     """
     header = transcript.header
     try:
-        bias = Bias(header.bias[0], header.bias[1])
-        first = Player(header.first_player)
-        state = new_game(header.n, bias, first)
-    except (ValueError, IndexError) as exc:
-        raise ReplayMismatchError("header", str(exc)) from exc
-    if header.goal not in GOALS:
-        raise ReplayMismatchError("header", f"unknown goal {header.goal!r}")
-    try:
-        _check_maker(header.maker, header.goal, header.n)
+        state, suite = _start(header)
         spec_of(Player.BREAKER, header.breaker)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ReplayMismatchError("header", str(exc)) from exc
     footer = transcript.footer
     if footer is None:
@@ -336,8 +332,6 @@ def replay_transcript(transcript: Transcript) -> dict:
             raise ReplayMismatchError(
                 "footer-mismatch", f"certificate malformed: {exc}") from exc
 
-    suite = MonitorSuite(header.n, header.maker, bias, first,
-                         n0=header.n0, enabled=header.monitors)
     # The game must still be running just before its last event: the last
     # entry, or the assertion recorded after all entries.
     entries = transcript.entries
@@ -369,12 +363,4 @@ def replay_transcript(transcript: Transcript) -> dict:
                       if key == "monitors" else
                       f"recorded {recorded!r}, re-derived {expected!r}")
             raise ReplayMismatchError("footer-mismatch", f"{key}: {detail}")
-    return {
-        "ok": True,
-        "entries": len(entries),
-        "winner": winner,
-        "reason": reason,
-        "maker_move_count": state.maker_moves,
-        "monitor_report": derived.monitors,
-        "assertion": footer.assertion,
-    }
+    return derived

@@ -179,7 +179,8 @@ def parse_transcript(text: str) -> Transcript:
     for i, ln in enumerate(lines):
         try:
             objs.append(json.loads(ln))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # A JSONDecodeError, or an integer past Python's digit limit.
             raise TranscriptFormatError(f"line {i + 1} is not JSON: {exc}") from exc
         except RecursionError as exc:
             raise TranscriptFormatError(f"line {i + 1} nests too deeply") from exc

@@ -149,11 +149,8 @@ class TestReplay:
     ])
     def test_faithful_replay_passes(self, maker, goal, breaker):
         result = _game(maker=maker, goal=goal, breaker=breaker, seed=5)
-        summary = replay_transcript(parse_transcript(result.transcript.dumps()))
-        assert summary["ok"] is True
-        assert summary["winner"] == result.winner
-        assert summary["reason"] == result.reason
-        assert summary["entries"] == len(result.transcript.entries)
+        footer = replay_transcript(parse_transcript(result.transcript.dumps()))
+        assert footer == result.transcript.footer
 
     def test_plain_callable_policies_play_to_a_verdict(self):
         # A bare function is a valid policy. Under maker id "hamilton"
@@ -169,9 +166,8 @@ class TestReplay:
         result = run_game(config, policies=(plain_callable, greedy))
         assert result.reason != "incomplete"
         assert result.certificate is None
-        summary = replay_transcript(parse_transcript(result.transcript.dumps()))
-        assert (summary["winner"], summary["reason"]) == (result.winner,
-                                                           result.reason)
+        footer = replay_transcript(parse_transcript(result.transcript.dumps()))
+        assert footer == result.transcript.footer
 
     def _tampered(self, lineno_fn, fn):
         result = _game(seed=9)
@@ -182,6 +178,17 @@ class TestReplay:
     def test_header_tamper_detected(self):
         bad = self._tampered(lambda t: 0,
                              lambda o: o.update(first_player="nobody"))
+        with pytest.raises(ReplayMismatchError) as err:
+            replay_transcript(bad)
+        assert err.value.kind == "header"
+
+    @pytest.mark.parametrize("changes", [{"bias": (1,)}, {"bias": 5},
+                                         {"n": "6"}, {"n0": "x"}])
+    def test_python_built_header_is_a_header_mismatch(self, changes):
+        # Headers built in Python skip the parser's type checks.
+        t = _game(n=6, seed=1).transcript
+        bad = dataclasses.replace(
+            t, header=dataclasses.replace(t.header, **changes))
         with pytest.raises(ReplayMismatchError) as err:
             replay_transcript(bad)
         assert err.value.kind == "header"
@@ -645,6 +652,37 @@ class TestExitCodes:
         assert code == 4
         assert "error[value]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_solve_cap_below_one_exits_4(self, cap, capsys):
+        assert cli.main(["solve", "--n", "4", "--move-cap", cap]) == 4
+        captured = capsys.readouterr()
+        assert "error[value]: move cap must be positive" in captured.err
+        assert captured.out == ""
+
+    def test_negative_game_count_exits_4(self, capsys):
+        assert cli.main(["verify", "--n", "20", "--games", "-2"]) == 4
+        captured = capsys.readouterr()
+        assert "error[usage]: --games must be at least 0" in captured.err
+        assert captured.out == ""
+
+    def test_int_past_the_digit_limit_exits_4_as_format(self, tmp_path,
+                                                         capsys):
+        # json.loads raises a plain ValueError for an integer longer than
+        # Python's int-to-string limit (4,300 digits).
+        text = _game(n=6, seed=1).transcript.dumps()
+        assert text.count('"n":6,') == 1
+        path = tmp_path / "digits.jsonl"
+        path.write_text(text.replace('"n":6,', '"n":' + "9" * 5000 + ","))
+        assert cli.main(["replay", str(path)]) == 4
+        assert "error[transcript-format]" in capsys.readouterr().err
+
+    def test_non_utf8_transcript_exits_4_as_format(self, tmp_path, capsys):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b"\xff" + _game(n=6, seed=1).transcript.dumps()
+                         .encode())
+        assert cli.main(["replay", str(path)]) == 4
+        assert "error[transcript-format]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("exc", [TypeError("unsupported operand"),
                                      MemoryError(), KeyError("n")])
     def test_escaped_exception_is_internal_exit_3(self, exc, capsys,
@@ -667,9 +705,9 @@ class TestCliBehavior:
         code = cli.main(["run", "--n", "20", "--maker", "connectivity",
                          "--breaker", "random", "--seed", "1", "--out", "-"])
         assert code == 0
-        out = capsys.readouterr().out
-        summary = replay_transcript(parse_transcript(out))
-        assert summary["winner"] == "maker"
+        transcript = parse_transcript(capsys.readouterr().out)
+        assert replay_transcript(transcript) == transcript.footer
+        assert transcript.footer.winner == "maker"
 
     def test_replay_reads_stdin(self, capsys, monkeypatch):
         result = _game(seed=8)
@@ -715,8 +753,8 @@ class TestCliBehavior:
         assert code == 0
         files = sorted(out_dir.iterdir())
         assert len(files) == 2
-        summary = replay_transcript(read_transcript(str(files[0])))
-        assert summary["ok"] is True
+        transcript = read_transcript(str(files[0]))
+        assert replay_transcript(transcript) == transcript.footer
 
     def test_hamilton_run_records_certificate(self, tmp_path, capsys):
         out = tmp_path / "ham.jsonl"
