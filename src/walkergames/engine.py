@@ -187,16 +187,21 @@ def resolve_move_cap(n: int, cap: Optional[int]) -> int:
     return cap
 
 
+def check_board_size(n: int) -> None:
+    """Raises ValueError unless 3 <= n <= MAX_N."""
+    if n < 3:
+        raise ValueError(f"need at least 3 vertices, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"at most {MAX_N} vertices are supported, got {n}")
+
+
 def new_game(n: int, bias: Bias = Bias(1, 1),
              first_player: Player = Player.BREAKER) -> GameState:
     """Fresh game: all edges free, no positions, every vertex unvisited.
 
     Raises ValueError, before allocating anything, unless 3 <= n <= MAX_N.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got {n}")
-    if n > MAX_N:
-        raise ValueError(f"at most {MAX_N} vertices are supported, got {n}")
+    check_board_size(n)
     bias = Bias(*bias)
     if bias.maker < 1 or bias.breaker < 1:
         raise ValueError(f"bias entries must be positive, got {bias}")

@@ -43,9 +43,11 @@ Checks
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
-from .engine import Bias, GameState, Move, MoveKind, Player, degree_b
+from .engine import (BREAKER_OWNED, Bias, GameState, Move, MoveKind, Player,
+                     degree_b)
 from .strategies import MAKERS
 
 CHECK_NAMES = (
@@ -91,12 +93,21 @@ def breaker_edges_all_touch_maker(state: GameState) -> Optional[tuple]:
     """Return the first Breaker edge with both endpoints unvisited, or None.
 
     Both ends of such an edge are tainted, unvisited and Breaker-touched,
-    so with fewer than two tainted vertices there is none and the edges
-    need no scan.
+    so with fewer than two tainted vertices there is none. With fewer
+    tainted pairs than Breaker edges, the pairs are looked up in the edge
+    rows first, and the edges, in claim order, are scanned only when one
+    of the pairs is a Breaker edge.
     """
     unvisited = state.unvisited
-    if len(state.breaker_touched & unvisited) < 2:
+    tainted = state.breaker_touched & unvisited
+    k = len(tainted)
+    if k < 2:
         return None
+    if k * (k - 1) // 2 <= len(state.breaker_edges):
+        rows = state.rows
+        if not any(rows[a][b] == BREAKER_OWNED
+                   for a, b in combinations(tainted, 2)):
+            return None
     for a, b in state.breaker_edges:
         if a in unvisited and b in unvisited:
             return (a, b)

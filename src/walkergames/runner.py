@@ -47,6 +47,7 @@ from .engine import (
     MoveKind,
     Player,
     apply_move,
+    check_board_size,
     edge_count,
     goal_reached,
     hamilton_won,
@@ -186,6 +187,8 @@ def run_game(config: GameConfig,
     it has built through it. The header still records the configured
     strategy ids.
     """
+    # The default cap is 10 n, so a bad n must be named before the cap is.
+    check_board_size(config.n)
     header = Header(
         n=config.n,
         bias=tuple(config.bias),
@@ -250,10 +253,17 @@ def run_game(config: GameConfig,
     )
 
 
+# The players and move kinds a record may name, by value, for replay to
+# look up in place of the slower Enum constructors. MoveRecord fields are
+# untyped, so a lookup may meet an unhashable value (TypeError).
+_PLAYER_OF = {p.value: p for p in Player}
+_KIND_OF = {k.value: k for k in MoveKind}
+
+
 def _move_from_record(rec: MoveRecord) -> Move:
     try:
-        kind = MoveKind(rec.kind)
-    except ValueError as exc:
+        kind = _KIND_OF[rec.kind]
+    except (KeyError, TypeError) as exc:
         raise ReplayMismatchError(
             "illegal-recorded-move",
             f"entry {rec.index}: unknown move kind {rec.kind!r}") from exc
@@ -272,8 +282,8 @@ def _replay_entry(state: GameState, rec: MoveRecord,
                   suite: MonitorSuite) -> GameState:
     """Check one recorded move against the engine and apply it."""
     try:
-        player = Player(rec.player)
-    except ValueError as exc:
+        player = _PLAYER_OF[rec.player]
+    except (KeyError, TypeError) as exc:
         raise ReplayMismatchError(
             "illegal-recorded-move",
             f"entry {rec.index}: unknown player {rec.player!r}") from exc

@@ -1,16 +1,29 @@
 """Line-delimited, versioned game transcripts.
 
 A transcript is one JSON object per line: a header, one line per move,
-and a footer. Lines are canonical JSON (sorted keys, fixed separators),
-so identical games serialize byte-identically and sweeps can be
-streamed and diffed. The reader rejects unknown format versions instead
-of guessing.
+and a footer. Every line is canonical JSON, ``canonical(obj)``: sorted
+keys, no spaces, ASCII with ``\\u`` escapes. Identical games therefore
+serialize byte-identically and sweeps can be streamed and diffed. The
+reader rejects unknown format versions instead of guessing, and rejects
+a line that is valid JSON but not canonical.
+
+Move lines, nearly every line of a transcript, have one fixed canonical
+form, ``_MOVE_LINE``. The writer renders a move with that one format
+string whenever the record's fields are ints or None and its player and
+kind are known names, and otherwise falls back to ``canonical``. The
+reader matches each line against the same form, with ints of at most
+nine digits, and builds the record from the match; any other line goes
+through ``json.loads`` and the canonical check, so a line that misses
+the fast form gets exactly the checks and errors of the general path.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Optional
+
+from .engine import MoveKind, Player
 
 FORMAT = "walkergames.transcript/1"
 
@@ -79,7 +92,26 @@ class Header:
                       **fields)
 
 
-@dataclass(frozen=True, slots=True)
+# The canonical form of a move line, as ``canonical`` writes it.
+_MOVE_LINE = ('{"from":%s,"index":%d,"kind":"%s","player":"%s",'
+              '"record":"move","round":%d,"to":%s}')
+_PLAYERS = frozenset(p.value for p in Player)
+_KINDS = frozenset(k.value for k in MoveKind)
+
+# The same form read back, with ints below 10**9 in canonical spelling;
+# the groups are from, index, kind, player, round and to.
+_match_move_line = re.compile(
+    r'\{"from":(null|%(int)s),"index":(%(int)s),"kind":"(%(kinds)s)",'
+    r'"player":"(%(players)s)","record":"move","round":(%(int)s),'
+    r'"to":(null|%(int)s)\}'
+    % {"int": "(?:0|[1-9][0-9]{0,8})", "kinds": "|".join(sorted(_KINDS)),
+       "players": "|".join(sorted(_PLAYERS))}).fullmatch
+
+
+# Not frozen: play and parse each build one record per move, and a
+# frozen dataclass's __init__ takes about four times as long as a plain
+# one's. Nothing changes a record once it is built.
+@dataclass(slots=True)
 class MoveRecord:
     index: int
     round: int
@@ -149,6 +181,19 @@ class Footer:
         })
 
 
+def _move_line(e: MoveRecord) -> str:
+    """``canonical(e.to_json())``, through ``_MOVE_LINE`` when that
+    renders it byte-identically."""
+    f, t = e.from_vertex, e.to_vertex
+    if (type(e.index) is int and type(e.round) is int
+            and (f is None or type(f) is int) and (t is None or type(t) is int)
+            and type(e.kind) is str and e.kind in _KINDS
+            and type(e.player) is str and e.player in _PLAYERS):
+        return _MOVE_LINE % ("null" if f is None else f, e.index, e.kind,
+                             e.player, e.round, "null" if t is None else t)
+    return canonical(e.to_json())
+
+
 @dataclass(slots=True)
 class Transcript:
     header: Header
@@ -157,7 +202,7 @@ class Transcript:
 
     def to_lines(self) -> list:
         lines = [canonical(self.header.to_json())]
-        lines.extend(canonical(e.to_json()) for e in self.entries)
+        lines.extend(map(_move_line, self.entries))
         if self.footer is not None:
             lines.append(canonical(self.footer.to_json()))
         return lines
@@ -175,15 +220,27 @@ def parse_transcript(text: str) -> Transcript:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise TranscriptFormatError("empty transcript")
+    # Each line becomes a MoveRecord when it has the fast move form, else
+    # its JSON value.
     objs = []
-    for i, ln in enumerate(lines):
+    loaded = []         # (lineno, line, value) of each line read as JSON
+    for lineno, ln in enumerate(lines, start=1):
+        m = _match_move_line(ln)
+        if m is not None:
+            f, index, kind, player, rnd, t = m.groups()
+            objs.append(MoveRecord(int(index), int(rnd), player, kind,
+                                   None if f == "null" else int(f),
+                                   None if t == "null" else int(t)))
+            continue
         try:
-            objs.append(json.loads(ln))
+            obj = json.loads(ln)
         except ValueError as exc:
             # A JSONDecodeError, or an integer past Python's digit limit.
-            raise TranscriptFormatError(f"line {i + 1} is not JSON: {exc}") from exc
+            raise TranscriptFormatError(f"line {lineno} is not JSON: {exc}") from exc
         except RecursionError as exc:
-            raise TranscriptFormatError(f"line {i + 1} nests too deeply") from exc
+            raise TranscriptFormatError(f"line {lineno} nests too deeply") from exc
+        objs.append(obj)
+        loaded.append((lineno, ln, obj))
     head = objs[0]
     if not isinstance(head, dict) or head.get("record") != "header":
         raise TranscriptFormatError("first line is not a header record")
@@ -198,17 +255,23 @@ def parse_transcript(text: str) -> Transcript:
     entries = []
     footer = None
     for lineno, obj in enumerate(objs[1:], start=2):
-        record = obj.get("record") if isinstance(obj, dict) else None
+        fast = type(obj) is MoveRecord
+        if fast:
+            record = "move"
+        else:
+            record = obj.get("record") if isinstance(obj, dict) else None
         if record == "move":
             if footer is not None:
                 raise TranscriptFormatError(f"line {lineno}: move record after footer")
-            try:
-                entries.append(MoveRecord.from_json(obj))
-            except KeyError as exc:
-                raise TranscriptFormatError(
-                    f"line {lineno}: move record missing field {exc}") from exc
-            except TranscriptFormatError as exc:
-                raise TranscriptFormatError(f"line {lineno}: {exc}") from exc
+            if not fast:
+                try:
+                    obj = MoveRecord.from_json(obj)
+                except KeyError as exc:
+                    raise TranscriptFormatError(
+                        f"line {lineno}: move record missing field {exc}") from exc
+                except TranscriptFormatError as exc:
+                    raise TranscriptFormatError(f"line {lineno}: {exc}") from exc
+            entries.append(obj)
         elif record == "footer":
             if footer is not None:
                 raise TranscriptFormatError(f"line {lineno}: duplicate footer")
@@ -229,6 +292,16 @@ def parse_transcript(text: str) -> Transcript:
         if i and e.round < entries[i - 1].round:
             raise TranscriptFormatError(
                 f"entry {i}: round {e.round} decreases from {entries[i - 1].round}")
+    # Last, so that a line that breaks a check above keeps its error.
+    for lineno, ln, obj in loaded:
+        try:
+            again = canonical(obj)
+        except RecursionError as exc:
+            raise TranscriptFormatError(f"line {lineno} nests too deeply") from exc
+        if again != ln:
+            raise TranscriptFormatError(
+                f"line {lineno} is not canonical JSON (sorted keys, no "
+                f"spaces, ASCII); expected {again[:80]!r}")
     return Transcript(header=header, entries=entries, footer=footer)
 
 

@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import traversing_deviant_maker
 
@@ -34,6 +36,7 @@ from walkergames.transcript import (
     MoveRecord,
     Transcript,
     TranscriptFormatError,
+    canonical,
     parse_transcript,
     read_transcript,
     write_transcript,
@@ -134,6 +137,90 @@ class TestTranscriptFormat:
         bad = _mutate_line(text, 0, lambda o: o.pop("seed"))
         with pytest.raises(TranscriptFormatError, match="missing field"):
             parse_transcript(bad)
+
+
+_HEADER = _game(n=6, seed=1).transcript.header
+_INT = st.one_of(st.integers(), st.sampled_from([0, 10**9 - 1, 10**9]))
+_VERTEX = st.one_of(st.none(), _INT)
+_PLAYER = st.sampled_from(["maker", "breaker"])
+_KIND = st.sampled_from(["place", "claim", "traverse", "pass"])
+# JSON values that the fast form cannot render or read.
+_ODD = st.one_of(st.none(), st.booleans(), st.integers(), st.text(),
+                 st.sampled_from(["Maker", "claim ", 'a"b', "a\\b",
+                                  "\u2028", "\x00", "Kőnig", 1.0, [1]]))
+
+
+class TestMoveCodec:
+    """Move lines are written through one format string and read through
+    one pattern, with the general JSON path as fallback; both must agree
+    with ``canonical`` byte for byte."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(fields=st.tuples(_INT, _INT, _PLAYER, _KIND, _VERTEX, _VERTEX),
+           # MoveKind.CLAIM is a str subclass that json writes as "claim"
+           # and %s does not.
+           odd=st.one_of(_ODD, st.just(MoveKind.CLAIM)))
+    def test_written_line_is_canonical(self, fields, odd):
+        # A record of the fast form, and a copy of it with each field in
+        # turn replaced by the odd value.
+        records = [MoveRecord(*fields)] + [
+            MoveRecord(*fields[:i], odd, *fields[i + 1:]) for i in range(6)]
+        for record in records:
+            line = Transcript(header=_HEADER, entries=[record]).to_lines()[1]
+            assert line == canonical(record.to_json())
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.lists(st.tuples(_INT, st.one_of(_PLAYER, _ODD),
+                              st.one_of(_KIND, _ODD), _VERTEX, _VERTEX),
+                    max_size=6))
+    def test_lines_parse_back_to_equal_records(self, fields):
+        # Indices count up from 0 and rounds never decrease, as the
+        # parser requires; players and kinds are not typed.
+        rounds = sorted(f[0] for f in fields)
+        entries = [MoveRecord(i, r, player, kind, a, b)
+                   for i, (r, (_, player, kind, a, b))
+                   in enumerate(zip(rounds, fields))]
+        text = Transcript(header=_HEADER, entries=entries).dumps()
+        parsed = parse_transcript(text)
+
+        def typed(records):     # True == 1, so compare the types too
+            return [(r, type(r.player), type(r.kind)) for r in records]
+        assert typed(parsed.entries) == typed(entries)
+        assert parsed.dumps() == text
+
+    # Each variant holds the same JSON value as the line it replaces, so
+    # only the canonical check can reject it.
+    @pytest.mark.parametrize("line,old,new", [
+        (1, '"kind":', '"kind": '),                   # extra spaces
+        (0, '"n":6,', '"n": 6,'),
+        (-1, '"winner":"maker"}', '"winner":"maker"} '),
+        (1, None, None),                              # keys unsorted
+        (0, None, None),
+        (-1, None, None),
+        (2, '"round":0', '"round":0.0'),              # 1.0 for an int
+        (2, '"round":0', '"round":-0'),
+        (0, '"seed":1', '"seed":1.0'),
+        (1, '"breaker"', '"br\\u0065aker"'),          # \u escape for "e"
+        (-1, '"winner"', '"winn\\u0065r"'),
+    ])
+    def test_non_canonical_line_exits_4_as_format(self, tmp_path, capsys,
+                                                  line, old, new):
+        lines = _game(n=6, seed=1).transcript.dumps().strip().split("\n")
+        original = lines[line]
+        if old is None:
+            obj = json.loads(original)
+            variant = json.dumps(dict(reversed(obj.items())),
+                                 separators=(",", ":"))
+        else:
+            assert original.count(old) == 1
+            variant = original.replace(old, new)
+        assert variant != original
+        assert json.loads(variant) == json.loads(original)
+        lines[line] = variant
+        path = tmp_path / "non-canonical.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["replay", str(path)]) == 4
+        assert "error[transcript-format]" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +657,11 @@ class TestExitCodes:
         (-1, {"winner": _DROP}, "transcript-format",
          "missing field 'winner'"),
         (1, {"record": "note"}, "transcript-format", "unknown record 'note'"),
+        # Non-string and unhashable players and kinds.
+        (2, {"player": [1]}, "illegal-recorded-move", "unknown player"),
+        (2, {"player": 5}, "illegal-recorded-move", "unknown player"),
+        (1, {"kind": {"a": 1}}, "illegal-recorded-move", "unknown move kind"),
+        (1, {"kind": None}, "illegal-recorded-move", "unknown move kind"),
     ])
     def test_rejected_record_exits_4(self, tmp_path, capsys, line, changes,
                                      tag, detail):
@@ -633,6 +725,17 @@ class TestExitCodes:
         assert "error[solver-limit]" in capsys.readouterr().err
         code = cli.main(["solve", "--n", "4", "--node-limit", str(nodes)])
         assert code == 0
+
+    @pytest.mark.parametrize("args", [["run", "--n", "0"],
+                                      ["run", "--n", "-3"],
+                                      ["verify", "--n", "0", "--games", "1"]])
+    def test_board_below_three_exits_4_as_board_size(self, args, capsys):
+        # The default move cap, 10 n, is not checked before n.
+        assert cli.main(args) == 4
+        captured = capsys.readouterr()
+        assert (f"error[value]: need at least 3 vertices, got {args[2]}"
+                in captured.err)
+        assert "move cap" not in captured.err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_board_above_the_ceiling_exits_4(self, command, capsys):
