@@ -46,6 +46,7 @@ from .transcript import (
     Footer,
     TranscriptFormatError,
     parse_transcript,
+    read_transcript,
     write_transcript,
 )
 
@@ -160,10 +161,10 @@ def _config_from_args(args, n: int, maker: str, breaker: str,
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
+    bound = _resolve_bound(args.bound, args.goal, args.maker, args.n)
     config = _config_from_args(args, args.n, args.maker, args.breaker,
                                args.seed)
     result = run_game(config)
-    bound = _resolve_bound(args.bound, args.goal, args.maker, args.n)
     if args.out is None or args.out == "-":
         sys.stdout.write(result.transcript.dumps())
         out_note = "stdout"
@@ -268,15 +269,15 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_replay(args) -> int:
-    try:
-        if args.transcript == "-":
+    if args.transcript == "-":
+        try:
             text = sys.stdin.read()
-        else:
-            with open(args.transcript, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise TranscriptFormatError(f"transcript is not UTF-8: {exc}") from exc
-    transcript = parse_transcript(text)
+        except UnicodeDecodeError as exc:
+            raise TranscriptFormatError(
+                f"transcript is not UTF-8: {exc}") from exc
+        transcript = parse_transcript(text)
+    else:
+        transcript = read_transcript(args.transcript)
     footer = replay_transcript(transcript)
     header = transcript.header
     bound = _resolve_bound(args.bound, header.goal, header.maker, header.n)

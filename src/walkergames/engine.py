@@ -22,6 +22,7 @@ Conventions
 -----------
 * Vertices are integers 0..n-1. Claimed edges are listed as unordered
   pairs in canonical (low, high) form.
+* A ``Move`` is a named tuple ``(kind, start, target)``.
 * The board is held as n edge rows, one ``bytearray`` of n bytes per
   vertex: ``rows[v][t]`` holds the code of edge {v, t}, one of
   ``FREE``, ``MAKER_OWNED`` or ``BREAKER_OWNED``, and ``rows[v][v]``
@@ -95,8 +96,7 @@ class Bias(NamedTuple):
         return self.maker if player is Player.MAKER else self.breaker
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(NamedTuple):
     kind: MoveKind
     start: Optional[int] = None   # placement only: the chosen standing edge's near end
     target: Optional[int] = None  # landing vertex (absent for pass)

@@ -44,11 +44,11 @@ The optimal move stored with each value yields a principal variation
 that ``cross_validate`` replays through the real engine, move by legal
 move, to confirm the claimed outcome.
 
-The solver uses its own compact move generator, ordered identically to
-the engine's (placements in lexicographic order, then claims, then
-traversals, each by ascending target, pass only when nothing else is
-legal). ``oracle_moves`` exposes that generator on engine states so
-tests can check the two agree everywhere.
+The solver's own compact move generator yields engine-shaped
+``(kind, start, target)`` tuples in the engine's order (placements in
+lexicographic order, then claims, then traversals, each by ascending
+target, pass only when nothing else is legal). ``oracle_moves`` runs
+it on engine states so tests can check the two agree everywhere.
 """
 from __future__ import annotations
 
@@ -63,6 +63,7 @@ from .engine import (
     GameState,
     IllegalMoveError,
     Move,
+    MoveKind,
     Player,
     apply_move,
     edge_count,
@@ -73,6 +74,7 @@ from .engine import (
 )
 
 ORACLE_MAX_N = 5
+PLACE, CLAIM, TRAVERSE, PASS = MoveKind  # globals read faster than members
 _INF = 10 ** 9
 
 
@@ -117,34 +119,35 @@ def _moves(bit: list, free: int, mine: int, pos: int) -> list:
     placement) owning the edges in ``mine``."""
     n = len(bit)
     if pos < 0:
-        return [("P", s, t) for s in range(n) for t in range(n)
+        return [(PLACE, s, t) for s in range(n) for t in range(n)
                 if bit[s][t] & free]
     row = bit[pos]
-    out = [("C", t) for t in range(n) if row[t] & free]
-    out += [("T", t) for t in range(n) if row[t] & mine]
-    return out or [("X",)]
+    out = [(CLAIM, None, t) for t in range(n) if row[t] & free]
+    out += [(TRAVERSE, None, t) for t in range(n) if row[t] & mine]
+    return out or [(PASS, None, None)]
 
 
 def _child(bit: list, mm: int, bm: int, mpos: int, bpos: int,
            maker_turn: int, mv: tuple) -> tuple:
     """(mm, bm, mpos, bpos, cost) after the side to move plays ``mv``;
     cost is 1 for a non-pass Maker move, else 0."""
-    kind = mv[0]
-    if kind == "X":
+    kind, s, t = mv
+    if kind is PASS:
         return mm, bm, mpos, bpos, 0
-    t = mv[-1]
     if maker_turn:
-        if kind != "T":
-            mm |= bit[mv[1] if kind == "P" else mpos][t]
+        if kind is not TRAVERSE:
+            mm |= bit[s if kind is PLACE else mpos][t]
         return mm, bm, t, bpos, 1
-    if kind != "T":
-        bm |= bit[mv[1] if kind == "P" else bpos][t]
+    if kind is not TRAVERSE:
+        bm |= bit[s if kind is PLACE else bpos][t]
     return mm, bm, mpos, t, 0
 
 
-def _relabel(mv: tuple, label: tuple) -> tuple:
+def _relabel(mv: tuple, label: tuple) -> Move:
     """``mv`` with every vertex v renamed to label[v]."""
-    return (mv[0],) + tuple(label[v] for v in mv[1:])
+    kind, s, t = mv
+    return Move(kind, None if s is None else label[s],
+                None if t is None else label[t])
 
 
 def _goal_tables(n: int, goal: str, bit: list) -> tuple:
@@ -337,22 +340,12 @@ class _Solver:
                 break  # a dead position or a standoff
             seen.add((key, budget))
             mv = _relabel(hit[1], label)
-            pv.append(_as_engine_move(mv))
+            pv.append(mv)
             mm, bm, mpos, bpos, cost = _child(self.bit, mm, bm, mpos, bpos,
                                               maker_turn, mv)
             maker_turn ^= 1
             budget -= cost
         return pv
-
-
-def _as_engine_move(mv: tuple) -> Move:
-    if mv[0] == "P":
-        return Move.place(mv[1], mv[2])
-    if mv[0] == "C":
-        return Move.claim(mv[1])
-    if mv[0] == "T":
-        return Move.traverse(mv[1])
-    return Move.pass_()
 
 
 def _internal_from_state(state: GameState) -> tuple:
@@ -370,8 +363,7 @@ def oracle_moves(state: GameState) -> list:
     mm, bm, mpos, bpos, maker_turn = _internal_from_state(state)
     free = (1 << edge_count(state.n)) - 1 & ~(mm | bm)
     mine, pos = (mm, mpos) if maker_turn else (bm, bpos)
-    return [_as_engine_move(m)
-            for m in _moves(_bit_rows(state.n), free, mine, pos)]
+    return [Move(*m) for m in _moves(_bit_rows(state.n), free, mine, pos)]
 
 
 def solve_from_state(state: GameState, goal: str,
@@ -394,6 +386,8 @@ def solve_from_state(state: GameState, goal: str,
     sys.setrecursionlimit(max(limit, 100_000))
     try:
         val = solver.value(*position, remaining)
+    except RecursionError as exc:  # about two plies per unit of budget
+        raise OracleLimitError("search too deep; lower the move cap") from exc
     finally:
         sys.setrecursionlimit(limit)
     if val < _INF:

@@ -306,5 +306,9 @@ def parse_transcript(text: str) -> Transcript:
 
 
 def read_transcript(path: str) -> Transcript:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_transcript(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TranscriptFormatError(f"transcript is not UTF-8: {exc}") from exc
+    return parse_transcript(text)

@@ -17,7 +17,9 @@ the agreement tests):
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -25,6 +27,7 @@ import pytest
 from conftest import INF, brute_force_value, random_playout_states, relabel_state
 
 from walkergames.engine import (
+    GOALS,
     Bias,
     Move,
     Player,
@@ -367,3 +370,21 @@ class TestFiveVertexSmoke:
         assert result.outcome == ("breaker" if value is None else "maker")
         assert 0 < result.memo <= result.nodes
         assert cross_validate(result)
+
+
+class TestFrozenOutputs:
+    # sha256 of the 16 solves' sorted-key JSON, one line each, in the
+    # order below; it pins every value, node count, memo size and
+    # principal variation.
+    DIGEST = "7980c91a0a010d6d0eb5e59d0e313e289c6045baa95ac8fb3b157c57d2a0208d"
+
+    def test_sixteen_solves_are_byte_identical(self):
+        results = [solve(n, goal, first, move_cap=cap)
+                   for n, cap in [(3, None), (4, None), (5, 6), (5, None)]
+                   for goal in GOALS
+                   for first in (Player.MAKER, Player.BREAKER)]
+        assert all(cross_validate(r) for r in results)
+        assert sum(r.nodes for r in results) == 3409
+        text = "\n".join(json.dumps(r.to_json(), sort_keys=True)
+                         for r in results)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

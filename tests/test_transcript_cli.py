@@ -89,6 +89,13 @@ class TestTranscriptFormat:
         again = read_transcript(str(path))
         assert again.dumps() == result.transcript.dumps()
 
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b"\xff" + _game(n=6, seed=1).transcript.dumps()
+                         .encode())
+        with pytest.raises(TranscriptFormatError, match="not UTF-8"):
+            read_transcript(str(path))
+
     def test_unknown_version_rejected(self):
         text = _game().transcript.dumps()
         bad = _mutate_line(text, 0,
@@ -725,6 +732,23 @@ class TestExitCodes:
         assert "error[solver-limit]" in capsys.readouterr().err
         code = cli.main(["solve", "--n", "4", "--node-limit", str(nodes)])
         assert code == 0
+
+    def test_solver_recursion_overflow_exits_4(self, capsys):
+        # The search nests about two plies per unit of budget, so this
+        # cap outruns any recursion limit the solver sets.
+        code = cli.main(["solve", "--n", "5", "--goal", "connectivity",
+                         "--first", "maker", "--move-cap", "100000"])
+        assert code == 4
+        assert "error[solver-limit]" in capsys.readouterr().err
+
+    def test_bad_bound_exits_4_before_play(self, capsys, monkeypatch):
+        def unplayed(*args, **kwargs):
+            raise AssertionError("the game was played before --bound "
+                                 "was checked")
+        monkeypatch.setattr(cli, "run_game", unplayed)
+        assert cli.main(["run", "--n", "4096", "--bound", "x"]) == 4
+        assert ("error[usage]: --bound must be auto, none, or an integer"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("args", [["run", "--n", "0"],
                                       ["run", "--n", "-3"],
