@@ -26,6 +26,7 @@ from .engine import (
     MoveKind,
     Player,
     apply_move,
+    check_move,
     connectivity_won,
     count_moves,
     degree_b,
@@ -70,7 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BREAKER_OWNED", "FREE", "GOALS", "MAKER_OWNED",
     "Bias", "GameState", "IllegalMoveError", "MalformedCertificateError",
-    "Move", "MoveKind", "Player", "apply_move",
+    "Move", "MoveKind", "Player", "apply_move", "check_move",
     "connectivity_won", "count_moves", "degree_b", "degree_m", "hamilton_won",
     "legal_moves", "new_game", "nth_move",
     "MonitorSuite",

@@ -30,19 +30,26 @@ Conventions
   player to the code of the edges it claims.
 * Degrees are counted from the edge rows by ``degree_b`` and
   ``degree_m``; the state keeps no degree list.
-* ``GameState`` is treated as immutable: ``apply_move`` returns a new
-  state and never mutates its input, and no row changes once a state
-  holds it. A claim of {a, b} copies the list of row references and
-  rows a and b, so that a move costs O(n); every other row is shared
-  with the parent state. A traversal or pass shares the list itself.
+* Play advances one ``GameState`` in place: ``apply_move`` validates
+  the whole move with ``check_move`` first, so a rejected move changes
+  nothing, and then updates the state and returns None. A claim writes
+  two bytes of the rows and appends one pair, so a move's bookkeeping
+  takes the same time at any n. Each state owns its rows; no row is
+  shared between states. ``copy()`` returns an independent state, for
+  callers that branch or must keep a position.
+* ``tainted`` holds the vertices that are unvisited and touched by a
+  Breaker edge: ``unvisited & breaker_touched``, kept by ``apply_move``
+  so that no reader rebuilds it.
 * ``round`` counts completed (first player, second player) pairs;
   Maker moves are tallied separately because the win bounds are stated
   in Maker moves.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -141,11 +148,12 @@ class GameState:
     n: int
     bias: Bias
     first_player: Player
-    rows: list  # n bytearrays of n edge codes, shared between states
+    rows: list  # n bytearrays of n edge codes, owned by this state
     maker_pos: Optional[int]
     breaker_pos: Optional[int]
     unvisited: set          # vertices incident to no Maker edge
     breaker_touched: set    # vertices incident to at least one Breaker edge
+    tainted: set            # unvisited & breaker_touched
     maker_edges: list       # (low, high) pairs in claim order
     breaker_edges: list
     round: int
@@ -168,9 +176,21 @@ class GameState:
     def position(self, player: Player) -> Optional[int]:
         return self.maker_pos if player is Player.MAKER else self.breaker_pos
 
+    def copy(self) -> "GameState":
+        """An independent state: fresh rows, sets and lists."""
+        return dataclasses.replace(
+            self,
+            rows=[bytearray(row) for row in self.rows],
+            unvisited=set(self.unvisited),
+            breaker_touched=set(self.breaker_touched),
+            tainted=set(self.tainted),
+            maker_edges=list(self.maker_edges),
+            breaker_edges=list(self.breaker_edges),
+        )
+
 
 # The largest board a game may use. Its edge rows take n*n bytes, about
-# 16.8 MB at this size, built once per game; a claim copies two of them.
+# 16.8 MB at this size, built once per game.
 MAX_N = 4096
 
 # The default Maker move cap, in play and in the exact solver, is this times n.
@@ -217,6 +237,7 @@ def new_game(n: int, bias: Bias = Bias(1, 1),
         breaker_pos=None,
         unvisited=set(range(n)),
         breaker_touched=set(),
+        tainted=set(),
         maker_edges=[],
         breaker_edges=[],
         round=0,
@@ -290,119 +311,87 @@ def _check_vertex(state: GameState, v: Optional[int], what: str) -> None:
         raise IllegalMoveError("out-of-range", f"{what} vertex {v!r} not in [0, {state.n})")
 
 
-def apply_move(state: GameState, player: Player, move: Move) -> GameState:
-    """Validate and apply one move, returning the successor state.
+def check_move(state: GameState, player: Player, move: Move) -> None:
+    """Raise IllegalMoveError unless ``player`` may play ``move`` now.
 
-    Rejections carry the violated rule by name: wrong-player,
-    wrong-kind, out-of-range, loop, opponent-edge, own-edge,
-    unclaimed-edge, pass-with-moves.
+    Changes nothing. Rejections carry the violated rule by name:
+    wrong-player, wrong-kind, out-of-range, loop, opponent-edge,
+    own-edge, unclaimed-edge, pass-with-moves.
     """
     if player is not state.to_move:
         raise IllegalMoveError("wrong-player", f"{player.value} is not to move")
-    pos = state.position(player)
-    n = state.n
-    own = player.owns
-
-    claimed = None   # canonical pair claimed by this move, if any
-    new_pos = pos
-
     if move.kind is MoveKind.PASS:
         if count_moves(state, player):
             raise IllegalMoveError("pass-with-moves", "pass while claims or traversals exist")
-    else:
-        placing = move.kind is MoveKind.PLACE
-        if placing and pos is not None:
-            raise IllegalMoveError("wrong-kind", "placement after the walk has started")
-        if not placing and pos is None:
-            raise IllegalMoveError("wrong-kind", f"{move.kind.value} before placement")
-        origin = move.start if placing else pos
-        if placing:
-            _check_vertex(state, origin, "start")
-        _check_vertex(state, move.target, "target")
-        if move.target == origin:
-            raise IllegalMoveError("loop", f"{move.kind.value} loop at {origin}")
-        # A traversal needs an own edge; a placement or claim a free one.
-        o = state.owner(origin, move.target)
-        if o != (own if move.kind is MoveKind.TRAVERSE else FREE):
-            if o == FREE:
-                rule, why = "unclaimed-edge", "is not an own edge"
-            elif o == own:
-                rule, why = "own-edge", "is already owned"
-            else:
-                rule, why = "opponent-edge", "is the opponent's"
-            raise IllegalMoveError(rule, f"edge {origin}-{move.target} {why}")
-        if move.kind is not MoveKind.TRAVERSE:
-            claimed = (min(origin, move.target), max(origin, move.target))
-        new_pos = move.target
-
-    rows = state.rows
-    unvisited = state.unvisited
-    breaker_touched = state.breaker_touched
-    maker_edges = state.maker_edges
-    breaker_edges = state.breaker_edges
-
-    if claimed is not None:
-        a, b = claimed
-        rows = rows.copy()
-        rows[a] = row = bytearray(rows[a])
-        row[b] = own
-        rows[b] = row = bytearray(rows[b])
-        row[a] = own
-        if player is Player.MAKER:
-            unvisited = set(unvisited)
-            unvisited.discard(a)
-            unvisited.discard(b)
-            maker_edges = maker_edges + [claimed]
+        return
+    pos = state.position(player)
+    placing = move.kind is MoveKind.PLACE
+    if placing and pos is not None:
+        raise IllegalMoveError("wrong-kind", "placement after the walk has started")
+    if not placing and pos is None:
+        raise IllegalMoveError("wrong-kind", f"{move.kind.value} before placement")
+    origin = move.start if placing else pos
+    if placing:
+        _check_vertex(state, origin, "start")
+    _check_vertex(state, move.target, "target")
+    if move.target == origin:
+        raise IllegalMoveError("loop", f"{move.kind.value} loop at {origin}")
+    # A traversal needs an own edge; a placement or claim a free one.
+    own = player.owns
+    o = state.owner(origin, move.target)
+    if o != (own if move.kind is MoveKind.TRAVERSE else FREE):
+        if o == FREE:
+            rule, why = "unclaimed-edge", "is not an own edge"
+        elif o == own:
+            rule, why = "own-edge", "is already owned"
         else:
-            breaker_touched = set(breaker_touched)
-            breaker_touched.add(a)
-            breaker_touched.add(b)
-            breaker_edges = breaker_edges + [claimed]
+            rule, why = "opponent-edge", "is the opponent's"
+        raise IllegalMoveError(rule, f"edge {origin}-{move.target} {why}")
 
-    maker_pos = state.maker_pos
-    breaker_pos = state.breaker_pos
-    if player is Player.MAKER:
-        maker_pos = new_pos
+
+def apply_move(state: GameState, player: Player, move: Move) -> None:
+    """Validate one move with ``check_move``, then play it on ``state``
+    in place. A rejected move leaves the state untouched."""
+    check_move(state, player, move)
+    kind = move.kind
+    maker = player is Player.MAKER
+    if kind is MoveKind.PASS:
+        state.passes += 1
     else:
-        breaker_pos = new_pos
+        target = move.target
+        if kind is not MoveKind.TRAVERSE:
+            origin = move.start if kind is MoveKind.PLACE else state.position(player)
+            own = player.owns
+            rows = state.rows
+            rows[origin][target] = own
+            rows[target][origin] = own
+            claimed = (origin, target) if origin < target else (target, origin)
+            tainted = state.tainted
+            if maker:
+                state.unvisited.difference_update(claimed)
+                tainted.difference_update(claimed)
+                state.maker_edges.append(claimed)
+            else:
+                state.breaker_touched.update(claimed)
+                unvisited = state.unvisited
+                for v in claimed:
+                    if v in unvisited:
+                        tainted.add(v)
+                state.breaker_edges.append(claimed)
+        if maker:
+            state.maker_pos = target
+            state.maker_moves += 1
+        else:
+            state.breaker_pos = target
+            state.breaker_moves += 1
 
-    maker_moves = state.maker_moves
-    breaker_moves = state.breaker_moves
-    passes = state.passes
-    if move.kind is MoveKind.PASS:
-        passes += 1
-    elif player is Player.MAKER:
-        maker_moves += 1
-    else:
-        breaker_moves += 1
-
-    to_move = state.to_move
-    moves_left = state.moves_left_in_turn - 1
-    rnd = state.round
-    if moves_left == 0:
+    state.moves_left_in_turn -= 1
+    if state.moves_left_in_turn == 0:
         to_move = player.other
-        moves_left = state.bias.per_turn(to_move)
+        state.to_move = to_move
+        state.moves_left_in_turn = state.bias.per_turn(to_move)
         if to_move is state.first_player:
-            rnd += 1
-
-    return GameState(
-        n=n,
-        bias=state.bias,
-        first_player=state.first_player,
-        rows=rows,
-        maker_pos=maker_pos,
-        breaker_pos=breaker_pos,
-        unvisited=unvisited,
-        breaker_touched=breaker_touched,
-        maker_edges=maker_edges,
-        breaker_edges=breaker_edges,
-        round=rnd,
-        to_move=to_move,
-        moves_left_in_turn=moves_left,
-        maker_moves=maker_moves,
-        breaker_moves=breaker_moves,
-        passes=passes,
-    )
+            state.round += 1
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +420,26 @@ def degree_m(state: GameState, x: int, restrict: Optional[Iterable[int]] = None)
     if restrict is None:
         return row.count(MAKER_OWNED)
     return sum(1 for t in restrict if row[t] == MAKER_OWNED)
+
+
+def breaker_edge_inside_unvisited(state: GameState) -> bool:
+    """Whether some Breaker edge has both endpoints unvisited.
+
+    Both ends of such an edge are tainted. With no more tainted pairs
+    than Breaker edges, the pairs are looked up in the edge rows;
+    otherwise the edges are scanned.
+    """
+    tainted = state.tainted
+    k = len(tainted)
+    if k < 2:
+        return False
+    if k * (k - 1) // 2 <= len(state.breaker_edges):
+        rows = state.rows
+        return any(rows[a][b] == BREAKER_OWNED
+                   for a, b in combinations(tainted, 2))
+    unvisited = state.unvisited
+    return any(a in unvisited and b in unvisited
+               for a, b in state.breaker_edges)
 
 
 # ---------------------------------------------------------------------------

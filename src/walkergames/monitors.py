@@ -12,6 +12,14 @@ and a board no smaller than the configured floor size. Anything else
 leaves every check dormant and the report marked unarmed. A suite
 built with monitoring off observes nothing and reports None.
 
+``observe(move, state)`` takes each move with the state it left, since
+play advances one state in place and keeps no state from before the
+move. The armed premise is what makes that enough: at (1:1) with the
+Breaker first, every move ends a turn and every Maker move ends a
+round, so ``moved`` derives the mover, the round before the move and
+the vertices it first visited from the state after it. An unarmed
+suite only counts the move.
+
 Checks
 ------
 * ``breaker_edges_touch_maker``: after each completed round with more
@@ -43,11 +51,10 @@ Checks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
-from .engine import (BREAKER_OWNED, Bias, GameState, Move, MoveKind, Player,
-                     degree_b)
+from .engine import (Bias, GameState, Move, MoveKind, Player,
+                     breaker_edge_inside_unvisited, degree_b, degree_m)
 from .strategies import MAKERS
 
 CHECK_NAMES = (
@@ -92,22 +99,12 @@ class CheckStats:
 def breaker_edges_all_touch_maker(state: GameState) -> Optional[tuple]:
     """Return the first Breaker edge with both endpoints unvisited, or None.
 
-    Both ends of such an edge are tainted, unvisited and Breaker-touched,
-    so with fewer than two tainted vertices there is none. With fewer
-    tainted pairs than Breaker edges, the pairs are looked up in the edge
-    rows first, and the edges, in claim order, are scanned only when one
-    of the pairs is a Breaker edge.
+    The edges, in claim order, are scanned only when
+    ``breaker_edge_inside_unvisited`` finds that such an edge exists.
     """
-    unvisited = state.unvisited
-    tainted = state.breaker_touched & unvisited
-    k = len(tainted)
-    if k < 2:
+    if not breaker_edge_inside_unvisited(state):
         return None
-    if k * (k - 1) // 2 <= len(state.breaker_edges):
-        rows = state.rows
-        if not any(rows[a][b] == BREAKER_OWNED
-                   for a, b in combinations(tainted, 2)):
-            return None
+    unvisited = state.unvisited
     for a, b in state.breaker_edges:
         if a in unvisited and b in unvisited:
             return (a, b)
@@ -115,15 +112,19 @@ def breaker_edges_all_touch_maker(state: GameState) -> Optional[tuple]:
 
 
 def position_unvisited_degree(state: GameState) -> int:
-    """Breaker degree from the Maker's position into the unvisited set."""
+    """Breaker degree from the Maker's position into the unvisited set.
+
+    Every Breaker neighbour in the unvisited set is tainted, so the
+    count reads only the tainted set.
+    """
     if state.maker_pos is None:
         return 0
-    return degree_b(state, state.maker_pos, state.unvisited)
+    return degree_b(state, state.maker_pos, state.tainted)
 
 
 def tainted_unvisited_count(state: GameState) -> int:
     """Unvisited vertices incident to at least one Breaker edge."""
-    return len(state.unvisited & state.breaker_touched)
+    return len(state.tainted)
 
 
 def maker_edges_form_simple_path(state: GameState) -> bool:
@@ -163,6 +164,25 @@ def maker_edges_form_simple_path(state: GameState) -> bool:
     return steps == len(edges)
 
 
+def moved(move: Move, state: GameState) -> tuple:
+    """(mover, round before the move, vertices it first visited) of a
+    move, read from the state after it, at bias (1:1) with the Breaker
+    first, the one setting the suite arms for.
+
+    Every move ends a turn, so the mover is the side not to move. Every
+    Maker move ends a round, so the round before it was one less. A
+    Maker placement or claim first visits those ends of its edge that
+    hold no other Maker edge; they are listed in ascending order.
+    """
+    mover = state.to_move.other
+    if mover is Player.BREAKER:
+        return mover, state.round, []
+    if move.kind is MoveKind.PASS or move.kind is MoveKind.TRAVERSE:
+        return mover, state.round - 1, []
+    return mover, state.round - 1, [v for v in state.maker_edges[-1]
+                                    if degree_m(state, v) == 1]
+
+
 class MonitorSuite:
     """Observes applied moves and scores the guarantee checks."""
 
@@ -189,34 +209,33 @@ class MonitorSuite:
 
     # -- event handling ----------------------------------------------------
 
-    def observe(self, before: GameState, move: Move, after: GameState):
-        """Feed one applied move: the state before it, the move, the
-        state after it. Must be called for every move in game order."""
+    def observe(self, move: Move, state: GameState):
+        """Feed one applied move and the state it left. Must be called
+        for every move in game order."""
         self._index += 1
         if not self.armed:
             return
         if move.kind is MoveKind.PASS:
             self.pass_entries.append(self._index)
+        mover, round_before, visited = moved(move, state)
+        if mover is Player.BREAKER:
+            self._prereply_check(state, round_before)
+            return
+        if move.kind is not MoveKind.PASS:
+            self._maker_move_checks(state, round_before + 1, visited)
+        self._round_completed_checks(state)
 
-        mover = before.to_move
-        if mover is Player.MAKER and move.kind is not MoveKind.PASS:
-            self._maker_move_checks(before, after)
-        if mover is Player.BREAKER and after.to_move is Player.MAKER:
-            self._prereply_check(before, after)
-        if after.round > before.round:
-            self._round_completed_checks(after)
-
-    def _maker_move_checks(self, before: GameState, after: GameState):
-        in_pursuit_window = after.maker_moves <= self.n - 3
-        round_1b = before.round + 1
+    def _maker_move_checks(self, state: GameState, round_1b: int,
+                           visited: list):
+        in_pursuit_window = state.maker_moves <= self.n - 3
 
         stats = self.checks["first_visit_degree"]
-        for v in sorted(before.unvisited - after.unvisited):
+        for v in visited:
             if not in_pursuit_window:
                 stats.miss()
                 continue
             stats.hit()
-            d = degree_b(after, v)
+            d = degree_b(state, v)
             if self.max_first_visit_degree is None or d > self.max_first_visit_degree:
                 self.max_first_visit_degree = d
             if d > FIRST_VISIT_DEGREE_LIMIT:
@@ -229,47 +248,47 @@ class MonitorSuite:
             stats.miss()
             return
         stats.hit()
-        if len(after.maker_edges) != after.maker_moves:
+        if len(state.maker_edges) != state.maker_moves:
             stats.violate(
                 round_1b,
-                f"move {after.maker_moves} left {len(after.maker_edges)} "
+                f"move {state.maker_moves} left {len(state.maker_edges)} "
                 "claimed edges, not one per move")
-        elif after.n - len(after.unvisited) != after.maker_moves + 1:
+        elif state.n - len(state.unvisited) != state.maker_moves + 1:
             stats.violate(
                 round_1b,
-                f"claimed edges after move {after.maker_moves} do not form "
+                f"claimed edges after move {state.maker_moves} do not form "
                 "a simple path")
 
-    def _prereply_check(self, before: GameState, after: GameState):
+    def _prereply_check(self, state: GameState, round_before: int):
         stats = self.checks["prereply_unvisited_degree"]
-        if (after.maker_pos is None
-                or len(after.unvisited) < 2
-                or after.maker_moves > self._pursuit_limit
-                or before.round < 1):
+        if (state.maker_pos is None
+                or len(state.unvisited) < 2
+                or state.maker_moves > self._pursuit_limit
+                or round_before < 1):
             stats.miss()
             return
         stats.hit()
-        w = after.maker_pos
-        d = degree_b(after, w, after.unvisited)
+        w = state.maker_pos
+        d = degree_b(state, w, state.tainted)
         if d > 2:
             stats.violate(
-                before.round + 1,
+                round_before + 1,
                 f"degree {d} from position {w} into the unvisited set "
                 "before the reply")
         elif d == 2 and self._prev_round_breaker_end != w:
             stats.violate(
-                before.round + 1,
+                round_before + 1,
                 f"degree 2 from position {w} but the previous round ended "
                 f"with the opponent at {self._prev_round_breaker_end}")
 
-    def _round_completed_checks(self, after: GameState):
-        round_1b = after.round
-        gate = len(after.unvisited) > 2
+    def _round_completed_checks(self, state: GameState):
+        round_1b = state.round
+        gate = len(state.unvisited) > 2
 
         stats = self.checks["breaker_edges_touch_maker"]
         if gate:
             stats.hit()
-            bad = breaker_edges_all_touch_maker(after)
+            bad = breaker_edges_all_touch_maker(state)
             if bad is not None:
                 stats.violate(
                     round_1b,
@@ -278,13 +297,13 @@ class MonitorSuite:
             stats.miss()
 
         stats = self.checks["position_unvisited_degree"]
-        if gate and after.maker_pos is not None:
+        if gate and state.maker_pos is not None:
             stats.hit()
-            d = position_unvisited_degree(after)
+            d = position_unvisited_degree(state)
             if d > 1:
                 stats.violate(
                     round_1b,
-                    f"degree {d} from position {after.maker_pos} into the "
+                    f"degree {d} from position {state.maker_pos} into the "
                     "unvisited set at round end")
         else:
             stats.miss()
@@ -292,7 +311,7 @@ class MonitorSuite:
         stats = self.checks["tainted_unvisited_limit"]
         if gate:
             stats.hit()
-            t = tainted_unvisited_count(after)
+            t = tainted_unvisited_count(state)
             if t > 2:
                 stats.violate(
                     round_1b,
@@ -300,7 +319,7 @@ class MonitorSuite:
         else:
             stats.miss()
 
-        self._prev_round_breaker_end = after.breaker_pos
+        self._prev_round_breaker_end = state.breaker_pos
 
     # -- results -----------------------------------------------------------
 

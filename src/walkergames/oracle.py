@@ -428,18 +428,19 @@ def cross_validate(result: SolveResult,
 
     True when every move is legal and the terminal position matches the
     claimed outcome: the goal reached in exactly the claimed number of
-    Maker moves for a Maker win, the goal unreached for prevention.
+    Maker moves for a Maker win, the goal unreached for prevention. The
+    line is played on a copy of ``initial``, which stays unchanged.
     """
     if initial is None:
         state = new_game(result.n, Bias(1, 1), Player(result.first_player))
         spent = 0
     else:
-        state = initial
+        state = initial.copy()
         spent = initial.maker_moves
     budget = result.move_cap - spent
     try:
         for mv in result.pv:
-            state = apply_move(state, state.to_move, mv)
+            apply_move(state, state.to_move, mv)
             if state.maker_moves - spent >= budget:
                 break  # the cap ends the game here
     except IllegalMoveError:

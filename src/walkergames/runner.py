@@ -7,6 +7,12 @@ re-derives the outcome and monitor report, and raises a named error on
 the first divergence, so a transcript is an independently checkable
 proof of play.
 
+Both advance one ``GameState`` in place from ``_start``'s fresh board.
+A move's record, its round and origin, is read before ``apply_move``
+plays it, and the monitor suite then sees the move with the state it
+left. The policies see that same live state, so they must not keep it
+between calls; the result's ``final_state`` is it, after the last move.
+
 Outcome rules, stated once in ``deduce_outcome``: the runner calls it
 after every move and stops at the first verdict other than
 "incomplete". Every verdict persists once reached, so the replayer
@@ -160,16 +166,17 @@ def _footer(winner: str, reason: str, state: GameState, suite: MonitorSuite,
     )
 
 
-def _record_for(entries: list, before: GameState, player: Player,
+def _record_for(entries: list, state: GameState, player: Player,
                 move: Move) -> MoveRecord:
+    """The record of ``move``, read from the state before it."""
     if move.kind is MoveKind.PLACE:
         origin = move.start
     else:
-        origin = before.position(player)
+        origin = state.position(player)
     target = None if move.kind is MoveKind.PASS else move.target
     return MoveRecord(
         index=len(entries),
-        round=before.round,
+        round=state.round,
         player=player.value,
         kind=move.kind.value,
         from_vertex=origin,
@@ -223,10 +230,10 @@ def run_game(config: GameConfig,
         except StrategyAssertionError as exc:
             assertion = exc
         else:
-            before = state
-            state = apply_move(state, player, move)
-            entries.append(_record_for(entries, before, player, move))
-            suite.observe(before, move, state)
+            record = _record_for(entries, state, player, move)
+            apply_move(state, player, move)
+            entries.append(record)
+            suite.observe(move, state)
             if certificate_of is not None:
                 certificate = certificate_of()
         winner, reason = deduce_outcome(
@@ -279,8 +286,9 @@ def _move_from_record(rec: MoveRecord) -> Move:
 
 
 def _replay_entry(state: GameState, rec: MoveRecord,
-                  suite: MonitorSuite) -> GameState:
-    """Check one recorded move against the engine and apply it."""
+                  suite: MonitorSuite) -> None:
+    """Check one recorded move against the engine and play it on
+    ``state``."""
     try:
         player = _PLAYER_OF[rec.player]
     except (KeyError, TypeError) as exc:
@@ -306,13 +314,12 @@ def _replay_entry(state: GameState, rec: MoveRecord,
             f"entry {rec.index}: recorded origin {rec.from_vertex}, "
             f"engine position {expected_origin}")
     try:
-        after = apply_move(state, player, move)
+        apply_move(state, player, move)
     except IllegalMoveError as exc:
         raise ReplayMismatchError(
             "illegal-recorded-move",
             f"entry {rec.index}: {exc}") from exc
-    suite.observe(state, move, after)
-    return after
+    suite.observe(move, state)
 
 
 def replay_transcript(transcript: Transcript) -> Footer:
@@ -347,7 +354,7 @@ def replay_transcript(transcript: Transcript) -> Footer:
     entries = transcript.entries
     last = len(entries) if footer.assertion is not None else len(entries) - 1
     for rec in entries[:last]:
-        state = _replay_entry(state, rec, suite)
+        _replay_entry(state, rec, suite)
     winner, reason = deduce_outcome(header, state, certificate, False,
                                     suite.has_violations())
     if reason != "incomplete":
@@ -355,7 +362,7 @@ def replay_transcript(transcript: Transcript) -> Footer:
             "illegal-recorded-move",
             f"the game ended ({winner}/{reason}) before its last event")
     for rec in entries[last:]:
-        state = _replay_entry(state, rec, suite)
+        _replay_entry(state, rec, suite)
 
     if certificate is not None and not hamilton_won(state, certificate):
         raise ReplayMismatchError(

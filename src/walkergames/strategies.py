@@ -1,8 +1,9 @@
 """Maker and Breaker policies.
 
 Every policy is a pure function of (state, memory) returning one legal
-move. Policies never mutate the game state; per-game knowledge lives in
-a StrategyMemory owned by the caller. Randomized policies draw from the
+move. Policies never mutate the game state, nor keep it between calls:
+the runner advances that one state in place. Per-game knowledge lives
+in a StrategyMemory owned by the caller. Randomized policies draw from the
 memory's seeded generator, so identical (state, memory, seed) always
 produces the identical move.
 
@@ -31,7 +32,7 @@ Breaker policies
 * ``camper_breaker_move``: deterministic adversary that claims a fan of
   edges from a fixed camp vertex.
 * scripted play: replays an explicit move list, failing hard on any
-  illegal or missing entry. An entry is legal when ``apply_move``
+  illegal or missing entry. An entry is legal when ``check_move``
   accepts it.
 
 Policies take a fallback or first legal move with
@@ -59,7 +60,8 @@ from .engine import (
     Move,
     MoveKind,
     Player,
-    apply_move,
+    breaker_edge_inside_unvisited,
+    check_move,
     count_moves,
     degree_b,
     legal_moves,
@@ -168,8 +170,7 @@ def _best_unvisited_target(state: GameState, v: int) -> Optional[int]:
     has opponent degree 0 and a free edge from v, and loses to any free
     tainted one.
     """
-    unvisited = state.unvisited
-    tainted = state.breaker_touched & unvisited
+    tainted = state.tainted
     best = None
     for u in tainted:
         if state.is_free(v, u):
@@ -178,7 +179,7 @@ def _best_unvisited_target(state: GameState, v: int) -> Optional[int]:
                 best = key
     if best is not None:
         return best[1]
-    rest = unvisited - tainted - {v}
+    rest = state.unvisited - tainted - {v}
     return min(rest) if rest else None
 
 
@@ -191,8 +192,10 @@ def chase_move(state: GameState, mem: StrategyMemory) -> Move:
          endpoint of larger opponent degree (tie: lowest index);
       2. otherwise claim a free wu into the unvisited set maximizing
          the opponent degree of u (tie: lowest index).
-    Priority 2 looks only at the tainted vertices, unvisited and
-    Breaker-touched, which pursuit keeps to at most two, and otherwise
+    Priority 1 first asks ``breaker_edge_inside_unvisited``, which
+    looks up the pairs of tainted vertices, unvisited and
+    Breaker-touched, in the edge rows. Priority 2 looks only at the
+    tainted vertices, which pursuit keeps to at most two, and otherwise
     takes the lowest untouched unvisited vertex (see
     ``_best_unvisited_target``). With three or more vertices unvisited,
     having no free edge into them contradicts the pursuit guarantees
@@ -203,14 +206,16 @@ def chase_move(state: GameState, mem: StrategyMemory) -> Move:
     w = state.maker_pos
     unvisited = state.unvisited
 
-    # Priority 1: opponent edge with both endpoints unvisited, newest first.
-    for a, b in reversed(state.breaker_edges):
-        if a in unvisited and b in unvisited:
-            ends = [e for e in (a, b) if state.is_free(w, e)]
-            if ends:
-                pick = max(ends, key=lambda e: (degree_b(state, e), -e))
-                mem.path_order.append(pick)
-                return Move.claim(pick)
+    # Priority 1: opponent edge with both endpoints unvisited, newest
+    # first. The edges are scanned only when one exists.
+    if breaker_edge_inside_unvisited(state):
+        for a, b in reversed(state.breaker_edges):
+            if a in unvisited and b in unvisited:
+                ends = [e for e in (a, b) if state.is_free(w, e)]
+                if ends:
+                    pick = max(ends, key=lambda e: (degree_b(state, e), -e))
+                    mem.path_order.append(pick)
+                    return Move.claim(pick)
 
     # Priority 2: free edge into the unvisited set, maximum opponent degree.
     target = _best_unvisited_target(state, w)
@@ -736,7 +741,7 @@ def scripted_move(state: GameState, mem: StrategyMemory) -> Move:
         raise ScriptError(f"script exhausted before entry {cursor + 1}")
     move = script[cursor]
     try:
-        apply_move(state, state.to_move, move)
+        check_move(state, state.to_move, move)
     except IllegalMoveError as exc:
         raise ScriptError(
             f"script entry {cursor + 1} ({script_line(move)}) is illegal for "

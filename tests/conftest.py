@@ -29,12 +29,21 @@ from walkergames.engine import (
 INF = 10 ** 9
 
 
+def successor(state: GameState, player: Player, move: Move) -> GameState:
+    """The state after ``move``, leaving ``state`` as it was: a copy
+    advanced by ``apply_move``. For tests that branch or compare the
+    positions before and after a move."""
+    child = state.copy()
+    apply_move(child, player, move)
+    return child
+
+
 def brute_force_value(state: GameState, goal: str, budget: int,
                       _path=None, _memo=None) -> int:
     """Reference minimax: least additional non-pass Maker moves to the
     goal spending at most ``budget`` of them, INF when the opponent
     prevents it within that horizon. Engine-driven (legal_moves and
-    apply_move over GameState). Values are keyed by (state, budget), so
+    a successor per move over GameState). Values are keyed by (state, budget), so
     they are path-independent and the memo is exact; the path set only
     cuts all-pass standoffs, which consume no budget."""
     if goal == "connectivity":
@@ -58,7 +67,7 @@ def brute_force_value(state: GameState, goal: str, budget: int,
     player = state.to_move
     results = []
     for mv in legal_moves(state, player):
-        child = apply_move(state, player, mv)
+        child = successor(state, player, mv)
         spends = player is Player.MAKER and mv.kind.value != "pass"
         v = brute_force_value(child, goal, budget - (1 if spends else 0),
                               _path, _memo)
@@ -83,6 +92,8 @@ def relabel_state(state: GameState, perm) -> GameState:
 
     maker_edges = pe(state.maker_edges)
     breaker_edges = pe(state.breaker_edges)
+    unvisited = {perm[v] for v in state.unvisited}
+    breaker_touched = {perm[v] for v in state.breaker_touched}
     return GameState(
         n=n,
         bias=state.bias,
@@ -90,8 +101,9 @@ def relabel_state(state: GameState, perm) -> GameState:
         rows=edge_rows(n, maker_edges, breaker_edges),
         maker_pos=pv(state.maker_pos),
         breaker_pos=pv(state.breaker_pos),
-        unvisited={perm[v] for v in state.unvisited},
-        breaker_touched={perm[v] for v in state.breaker_touched},
+        unvisited=unvisited,
+        breaker_touched=breaker_touched,
+        tainted=unvisited & breaker_touched,
         maker_edges=maker_edges,
         breaker_edges=breaker_edges,
         round=state.round,
@@ -124,14 +136,15 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
                 first_player=Player.BREAKER, round=1) -> GameState:
     """A consistent synthetic position from explicit edge lists.
 
-    Derived fields (edge rows, unvisited set, counters) are
+    Derived fields (edge rows, vertex sets, counters) are
     recomputed from the lists, so policy unit tests can pose exact
     mid-game situations without replaying a move sequence.
     """
     maker_edges = [tuple(sorted(e)) for e in maker_edges]
     breaker_edges = [tuple(sorted(e)) for e in breaker_edges]
     rows = edge_rows(n, maker_edges, breaker_edges)
-    touched = {v for e in maker_edges for v in e}
+    unvisited = set(range(n)) - {v for e in maker_edges for v in e}
+    breaker_touched = {v for e in breaker_edges for v in e}
     return GameState(
         n=n,
         bias=Bias(*bias),
@@ -139,8 +152,9 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
         rows=rows,
         maker_pos=maker_pos,
         breaker_pos=breaker_pos,
-        unvisited=set(range(n)) - touched,
-        breaker_touched={v for e in breaker_edges for v in e},
+        unvisited=unvisited,
+        breaker_touched=breaker_touched,
+        tainted=unvisited & breaker_touched,
         maker_edges=maker_edges,
         breaker_edges=breaker_edges,
         round=round,
@@ -225,21 +239,22 @@ def recomputed_degrees(state: GameState) -> tuple:
 
 def random_playout_states(n: int, seed: int, steps: int,
                           bias=(1, 1), first=Player.BREAKER):
-    """Yield the states along one random legal playout."""
+    """Yield the states along one random legal playout, each a copy
+    that later moves leave as it is."""
     rng = random.Random(seed)
     state = new_game(n, Bias(*bias), first)
-    yield state
+    yield state.copy()
     for _ in range(steps):
         moves = legal_moves(state, state.to_move)
-        state = apply_move(state, state.to_move, rng.choice(moves))
-        yield state
+        apply_move(state, state.to_move, rng.choice(moves))
+        yield state.copy()
 
 
 def random_maker_states(breaker: str, bias=(1, 1), first=Player.BREAKER):
     """Yield every state of games between the random Maker and the named
     Breaker: n in {5, 13, 40}, seeds 0 and 1, 3n moves each. Unlike
     pursuit, such play leaves many unvisited vertices touched by Breaker
-    edges."""
+    edges. Each state is a copy that later moves leave as it is."""
     from walkergames.strategies import make_policy
 
     for n in (5, 13, 40):
@@ -249,11 +264,11 @@ def random_maker_states(breaker: str, bias=(1, 1), first=Player.BREAKER):
                 Player.BREAKER: make_policy(Player.BREAKER, breaker, seed),
             }
             state = new_game(n, Bias(*bias), first)
-            yield state
+            yield state.copy()
             for _ in range(3 * n):
                 mover = state.to_move
-                state = apply_move(state, mover, policies[mover](state))
-                yield state
+                apply_move(state, mover, policies[mover](state))
+                yield state.copy()
 
 
 def all_candidate_moves(n: int):

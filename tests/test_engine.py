@@ -17,6 +17,7 @@ from conftest import (
     recomputed_breaker_touched,
     recomputed_degrees,
     recomputed_unvisited,
+    successor,
 )
 from walkergames.engine import (
     BREAKER_OWNED,
@@ -42,13 +43,15 @@ from walkergames.engine import (
     nth_move,
     snapshot,
 )
+from walkergames.oracle import cross_validate, solve_from_state
+from walkergames.strategies import StrategyMemory, scripted_move
 
 BIASES = [(1, 1), (1, 2), (2, 1)]
 
 
 def _play(state, *moves):
     for mv in moves:
-        state = apply_move(state, state.to_move, mv)
+        apply_move(state, state.to_move, mv)
     return state
 
 
@@ -101,9 +104,9 @@ class TestLegalMoves:
         state = build_state(3, breaker_edges=[(0, 1), (0, 2)], maker_pos=0,
                             breaker_pos=2)
         assert legal_moves(state, Player.MAKER) == [Move.pass_()]
-        after = apply_move(state, Player.MAKER, Move.pass_())
-        assert after.passes == 1
-        assert after.to_move is Player.BREAKER
+        apply_move(state, Player.MAKER, Move.pass_())
+        assert state.passes == 1
+        assert state.to_move is Player.BREAKER
 
     def test_pass_only_when_nothing_legal(self):
         # A player with any own edge can always walk it, so no pass.
@@ -192,14 +195,6 @@ class TestApplyMove:
         state = _play(state, Move.claim(2))
         assert state.to_move is Player.MAKER
 
-    def test_apply_does_not_mutate_input(self):
-        state = new_game(4)
-        frozen = ([bytes(row) for row in state.rows], set(state.unvisited),
-                  state.round)
-        _play(state, Move.place(0, 1), Move.place(1, 2), Move.claim(3))
-        assert ([bytes(row) for row in state.rows], set(state.unvisited),
-                state.round) == frozen
-
     def test_loop_queries_name_no_edge(self):
         state = new_game(5)
         assert not state.is_free(2, 2)
@@ -209,31 +204,94 @@ class TestApplyMove:
             assert not state.is_free(v, v)
 
 
-class TestRowSharing:
-    """A claim of {a, b} makes new rows a and b and shares every other
-    row with its input; a traversal or pass shares the row list itself.
-    No row the input holds changes."""
+def _frozen(state):
+    """Every row byte, set, list and counter of a state, as values."""
+    return ([bytes(row) for row in state.rows], state.maker_pos,
+            state.breaker_pos, set(state.unvisited), set(state.breaker_touched),
+            set(state.tainted), list(state.maker_edges),
+            list(state.breaker_edges), state.round, state.to_move,
+            state.moves_left_in_turn, state.maker_moves, state.breaker_moves,
+            state.passes)
+
+
+class TestInPlaceContract:
+    """``apply_move`` advances its state in place only once the whole
+    move is valid; ``copy()`` makes an independent state; the callers
+    that only look at a position leave it unchanged."""
+
+    REJECTED = [
+        # (rule, position builder, player, move)
+        ("wrong-player", lambda: new_game(4), Player.MAKER, Move.place(0, 1)),
+        ("wrong-kind", lambda: _play(new_game(4), Move.place(0, 1)),
+         Player.MAKER, Move.claim(2)),
+        ("out-of-range", lambda: new_game(4), Player.BREAKER, Move.place(0, 4)),
+        ("loop", lambda: new_game(4), Player.BREAKER, Move.place(2, 2)),
+        ("opponent-edge",
+         lambda: _play(new_game(4), Move.place(0, 1), Move.place(2, 3),
+                       Move.claim(3)),
+         Player.MAKER, Move.traverse(1)),
+        ("own-edge",
+         lambda: _play(new_game(4), Move.place(0, 1), Move.place(2, 3),
+                       Move.claim(2)),
+         Player.MAKER, Move.claim(2)),
+        ("unclaimed-edge",
+         lambda: _play(new_game(4), Move.place(0, 1), Move.place(2, 3)),
+         Player.BREAKER, Move.traverse(2)),
+        ("pass-with-moves", lambda: new_game(4), Player.BREAKER, Move.pass_()),
+    ]
+
+    @pytest.mark.parametrize("rule,build,player,move", REJECTED,
+                             ids=[r[0] for r in REJECTED])
+    def test_rejected_move_leaves_the_state_untouched(self, rule, build,
+                                                      player, move):
+        state = build()
+        before = state.copy()
+        with pytest.raises(IllegalMoveError) as err:
+            apply_move(state, player, move)
+        assert err.value.rule == rule
+        assert _frozen(state) == _frozen(before)
 
     @pytest.mark.parametrize("bias", BIASES)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_moves_share_untouched_rows(self, seed, bias):
+    @pytest.mark.parametrize("seed", range(3))
+    def test_copy_shares_no_mutable_container(self, seed, bias):
+        *_, state = random_playout_states(7, seed, 12, bias)
+        twin = state.copy()
+        assert _frozen(twin) == _frozen(state)
+        assert twin.rows is not state.rows
+        for v in range(state.n):
+            assert twin.rows[v] is not state.rows[v]
+        for name in ("unvisited", "breaker_touched", "tainted",
+                     "maker_edges", "breaker_edges"):
+            assert getattr(twin, name) is not getattr(state, name), name
+        # Playing on, and writing into, the copy leaves the source as it was.
+        frozen = _frozen(state)
         rng = random.Random(seed)
-        state = new_game(7, Bias(*bias))
-        for _ in range(60):
-            mover = state.to_move
-            move = rng.choice(legal_moves(state, mover))
-            before = [bytes(row) for row in state.rows]
-            after = apply_move(state, mover, move)
-            if move.kind in (MoveKind.PLACE, MoveKind.CLAIM):
-                ends = {move.target,
-                        move.start if move.kind is MoveKind.PLACE
-                        else state.position(mover)}
-                for v in range(state.n):
-                    assert (after.rows[v] is state.rows[v]) == (v not in ends)
-            else:
-                assert after.rows is state.rows
-            assert [bytes(row) for row in state.rows] == before
-            state = after
+        for _ in range(20):
+            apply_move(twin, twin.to_move,
+                       rng.choice(legal_moves(twin, twin.to_move)))
+        twin.rows[0][1] = twin.rows[1][0] = FREE
+        twin.unvisited.add(99)
+        twin.breaker_touched.add(99)
+        twin.tainted.add(99)
+        twin.maker_edges.append((0, 99))
+        twin.breaker_edges.append((0, 99))
+        assert _frozen(state) == frozen
+
+    def test_scripted_move_leaves_the_state_unchanged(self):
+        state = _play(new_game(6), Move.place(0, 1), Move.place(2, 3))
+        frozen = _frozen(state)
+        mem = StrategyMemory(designated={
+            "script": [Move.claim(4), Move.claim(5)], "cursor": 0})
+        assert scripted_move(state, mem) == Move.claim(4)
+        assert _frozen(state) == frozen
+
+    def test_cross_validate_leaves_its_initial_state_unchanged(self):
+        state = _play(new_game(4), Move.place(0, 1))
+        frozen = _frozen(state)
+        result = solve_from_state(state, "connectivity", move_cap=12)
+        assert result.pv
+        assert cross_validate(result, initial=state)
+        assert _frozen(state) == frozen
 
 
 class TestDegrees:
@@ -305,11 +363,16 @@ class TestGoals:
 
 
 class TestRecomputation:
+    @pytest.mark.parametrize("first", list(Player))
+    @pytest.mark.parametrize("bias", BIASES)
     @pytest.mark.parametrize("seed", range(6))
-    def test_incremental_fields_match_recomputation(self, seed):
-        for state in random_playout_states(8, seed, steps=40):
-            assert state.unvisited == recomputed_unvisited(state)
-            assert state.breaker_touched == recomputed_breaker_touched(state)
+    def test_incremental_fields_match_recomputation(self, seed, bias, first):
+        for state in random_playout_states(8, seed, 40, bias, first):
+            unvisited = recomputed_unvisited(state)
+            touched = recomputed_breaker_touched(state)
+            assert state.unvisited == unvisited
+            assert state.breaker_touched == touched
+            assert state.tainted == unvisited & touched
             dm, db = recomputed_degrees(state)
             assert [degree_m(state, v) for v in range(state.n)] == dm
             assert [degree_b(state, v) for v in range(state.n)] == db
@@ -321,6 +384,8 @@ class TestRecomputation:
     def test_rows_agree_with_claimed_edges_on_playouts(self, seed, n, steps,
                                                        bias, first):
         for state in random_playout_states(n, seed, steps, bias, first):
+            assert state.tainted == (recomputed_unvisited(state)
+                                     & recomputed_breaker_touched(state))
             rows = state.rows
             codes = edge_codes(state)
             assert len(rows) == n
@@ -356,7 +421,7 @@ class TestLegalityProperties:
         assert len(legal) == len(legal_set)
         for mv in all_candidate_moves(n):
             try:
-                apply_move(state, player, mv)
+                successor(state, player, mv)
                 ok = True
             except IllegalMoveError:
                 ok = False
@@ -372,7 +437,7 @@ class TestLegalityProperties:
             for _ in range(30):
                 mv = rng.choice(legal_moves(state, state.to_move))
                 out.append(str(mv))
-                state = apply_move(state, state.to_move, mv)
+                apply_move(state, state.to_move, mv)
             return out
 
         assert trail(seed) == trail(seed)
@@ -415,5 +480,5 @@ class TestCountedMoves:
 
     def test_pass_accepted_when_only_pass(self):
         for state in pass_only_states():
-            after = apply_move(state, state.to_move, Move.pass_())
-            assert after.passes == 1
+            apply_move(state, state.to_move, Move.pass_())
+            assert state.passes == 1

@@ -2,11 +2,14 @@
 violation detection on synthetic deviant play."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import (
     build_state,
     random_maker_states,
+    successor,
     traversing_deviant_maker,
 )
 
@@ -16,6 +19,7 @@ from walkergames.engine import (
     MoveKind,
     Player,
     apply_move,
+    legal_moves,
     new_game,
 )
 from walkergames.monitors import (
@@ -25,6 +29,7 @@ from walkergames.monitors import (
     MonitorSuite,
     breaker_edges_all_touch_maker,
     maker_edges_form_simple_path,
+    moved,
     position_unvisited_degree,
     tainted_unvisited_count,
 )
@@ -37,8 +42,8 @@ def _suite(n=20, maker="chase", bias=(1, 1), first=Player.BREAKER, **kw):
 
 
 def _observe_maker_move(suite, before, move):
-    after = apply_move(before, Player.MAKER, move)
-    suite.observe(before, move, after)
+    after = successor(before, Player.MAKER, move)
+    suite.observe(move, after)
     return after
 
 
@@ -109,8 +114,8 @@ class TestArming:
     def test_dormant_suite_records_nothing(self):
         suite = _suite(maker="random")
         state = new_game(20, Bias(1, 1), Player.BREAKER)
-        after = apply_move(state, Player.BREAKER, Move.place(3, 7))
-        suite.observe(state, Move.place(3, 7), after)
+        after = successor(state, Player.BREAKER, Move.place(3, 7))
+        suite.observe(Move.place(3, 7), after)
         report = suite.report()
         assert report["armed"] is False
         assert report["clean"] is True
@@ -143,8 +148,8 @@ class TestViolationDetection:
                              breaker_edges=[(1, 5), (1, 6)],
                              maker_pos=1, breaker_pos=7,
                              to_move=Player.BREAKER)
-        after = apply_move(before, Player.BREAKER, Move.claim(1))
-        suite.observe(before, Move.claim(1), after)
+        after = successor(before, Player.BREAKER, Move.claim(1))
+        suite.observe(Move.claim(1), after)
         stats = suite.checks["prereply_unvisited_degree"]
         assert stats.evaluated == 1
         assert stats.violations == 1
@@ -156,8 +161,8 @@ class TestViolationDetection:
                              breaker_edges=[(1, 5)],
                              maker_pos=1, breaker_pos=6,
                              to_move=Player.BREAKER)
-        after = apply_move(before, Player.BREAKER, Move.claim(1))
-        suite.observe(before, Move.claim(1), after)
+        after = successor(before, Player.BREAKER, Move.claim(1))
+        suite.observe(Move.claim(1), after)
         assert suite.checks["prereply_unvisited_degree"].violations == 1
 
     def test_prereply_degree_two_allowed_after_round_ending_there(self):
@@ -175,8 +180,8 @@ class TestViolationDetection:
                              breaker_edges=[(2, 7)],
                              maker_pos=2, breaker_pos=8,
                              to_move=Player.BREAKER, round=2)
-        after = apply_move(before, Player.BREAKER, Move.claim(2))
-        suite.observe(before, Move.claim(2), after)
+        after = successor(before, Player.BREAKER, Move.claim(2))
+        suite.observe(Move.claim(2), after)
         stats = suite.checks["prereply_unvisited_degree"]
         assert stats.violations == 0
         assert stats.evaluated == 1
@@ -222,9 +227,9 @@ class TestViolationDetection:
         suite = _suite()
         state = build_state(20, maker_edges=[(0, 1)], maker_pos=1,
                             breaker_pos=5, to_move=Player.MAKER)
-        suite.observe(state, Move.claim(2),
-                      apply_move(state, Player.MAKER, Move.claim(2)))
-        suite.observe(state, Move.pass_(), state)
+        suite.observe(Move.claim(2),
+                      successor(state, Player.MAKER, Move.claim(2)))
+        suite.observe(Move.pass_(), state)
         assert suite.pass_entries == [1]
 
 
@@ -246,8 +251,8 @@ class TestGatingInstants:
     def test_prereply_skips_first_round(self):
         suite = _suite()
         state = new_game(20, Bias(1, 1), Player.BREAKER)
-        after = apply_move(state, Player.BREAKER, Move.place(3, 7))
-        suite.observe(state, Move.place(3, 7), after)
+        after = successor(state, Player.BREAKER, Move.place(3, 7))
+        suite.observe(Move.place(3, 7), after)
         stats = suite.checks["prereply_unvisited_degree"]
         assert stats.evaluated == 0
         assert stats.skipped == 1
@@ -259,8 +264,8 @@ class TestGatingInstants:
         edges = [(i, i + 1) for i in range(17)]
         before = build_state(20, maker_edges=edges, maker_pos=17,
                              breaker_pos=5, to_move=Player.BREAKER, round=3)
-        after = apply_move(before, Player.BREAKER, Move.claim(19))
-        suite.observe(before, Move.claim(19), after)
+        after = successor(before, Player.BREAKER, Move.claim(19))
+        suite.observe(Move.claim(19), after)
         stats = suite.checks["prereply_unvisited_degree"]
         assert stats.evaluated == 0
         assert stats.skipped == 1
@@ -321,6 +326,33 @@ class TestTaintedShortcut:
         assert found > 0
 
 
+class TestMoveDerivation:
+    """``observe`` sees only the state after a move; ``moved`` derives
+    from it the mover, the round before the move and the vertices the
+    move first visited. In the setting the suite arms for, (1:1) with
+    the Breaker first, these must be what the state before gives."""
+
+    @pytest.mark.parametrize("n", [20, 30])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_state_before_each_move(self, n, seed):
+        rng = random.Random(seed)
+        state = new_game(n, Bias(1, 1), Player.BREAKER)
+        kinds = set()
+        for _ in range(4 * n):
+            before = state.copy()
+            move = rng.choice(legal_moves(state, state.to_move))
+            apply_move(state, before.to_move, move)
+            mover, round_before, visited = moved(move, state)
+            assert mover is before.to_move
+            assert round_before == before.round
+            assert visited == sorted(before.unvisited - state.unvisited)
+            if mover is Player.MAKER:
+                kinds.add((move.kind, len(visited)))
+        # Placements visit two vertices, claims one or none, traversals none.
+        assert {(MoveKind.PLACE, 2), (MoveKind.CLAIM, 1), (MoveKind.CLAIM, 0),
+                (MoveKind.TRAVERSE, 0)} <= kinds
+
+
 class TestIncrementalPathShape:
     """``path_shape`` decides the Maker's path by counting the vertices
     her walk has visited; its verdicts must be those of the full
@@ -340,8 +372,8 @@ class TestIncrementalPathShape:
             while state.maker_moves < window + 2:
                 player = state.to_move
                 move = (maker if player is Player.MAKER else breaker)(state)
-                after = apply_move(state, player, move)
-                suite.observe(state, move, after)
+                after = successor(state, player, move)
+                suite.observe(move, after)
                 maker_moved = (player is Player.MAKER
                                and move.kind is not MoveKind.PASS)
                 if maker_moved and after.maker_moves > window:

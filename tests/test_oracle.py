@@ -86,8 +86,8 @@ class TestFrozenSmallValues:
         # free, so one more claim finishes: two Maker moves in total.
         state = new_game(3, Bias(1, 1), Player.MAKER)
         from walkergames.engine import apply_move
-        state = apply_move(state, Player.MAKER, Move.place(0, 1))
-        state = apply_move(state, Player.BREAKER, Move.place(2, 0))
+        apply_move(state, Player.MAKER, Move.place(0, 1))
+        apply_move(state, Player.BREAKER, Move.place(2, 0))
         result = solve_from_state(state, "connectivity", move_cap=10)
         assert result.outcome == "maker"
         assert result.maker_moves_to_win == 1

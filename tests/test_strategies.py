@@ -69,7 +69,7 @@ from walkergames.strategies import (
 def _played(n, *moves, bias=(1, 1), first=Player.BREAKER):
     state = new_game(n, Bias(*bias), first)
     for mv in moves:
-        state = apply_move(state, state.to_move, mv)
+        apply_move(state, state.to_move, mv)
     return state
 
 
@@ -721,7 +721,7 @@ def _step_policies(n, maker_id, breaker_id, seed, bias=(1, 1),
             return state, exc
         assert move in legal_moves(state, state.to_move), (
             f"{policy.name} proposed {move} illegally")
-        state = apply_move(state, state.to_move, move)
+        apply_move(state, state.to_move, move)
         if maker_id in ("chase", "connectivity") and connectivity_won(state):
             break
         if maker_id == "hamilton" and policies[Player.MAKER].memory.stage == 4:
@@ -760,7 +760,7 @@ class TestPolicyLegality:
         plies = {Player.MAKER: maker, Player.BREAKER: breaker}
         while state.unvisited and state.maker_moves <= 17:
             mover = state.to_move
-            state = apply_move(state, mover, plies[mover](state))
+            apply_move(state, mover, plies[mover](state))
             if mover is Player.MAKER and state.maker_moves <= 17:
                 assert maker_edges_form_simple_path(state)
                 assert len(state.maker_edges) == state.maker_moves
@@ -772,7 +772,7 @@ class TestPolicyLegality:
         plies = {Player.MAKER: maker, Player.BREAKER: breaker}
         for _ in range(12 * 20):
             mover = state.to_move
-            state = apply_move(state, mover, plies[mover](state))
+            apply_move(state, mover, plies[mover](state))
             cyc = maker.memory.cycle_order
             if mover is Player.MAKER and cyc:
                 for i, v in enumerate(cyc):

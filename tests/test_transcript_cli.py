@@ -701,7 +701,7 @@ class TestExitCodes:
         # footer's counts bumped to match.
         result = _game(n=6, seed=1)
         assert result.reason == "goal"
-        state = result.final_state
+        state = result.final_state.copy()
         entries = list(result.transcript.entries)
         for _ in range(2):
             player = state.to_move
@@ -712,7 +712,7 @@ class TestExitCodes:
                 from_vertex=(move.start if move.kind is MoveKind.PLACE
                              else state.position(player)),
                 to_vertex=move.target))
-            state = apply_move(state, player, move)
+            apply_move(state, player, move)
         assert state.maker_moves == result.maker_move_count + 1
         footer = dataclasses.replace(
             result.transcript.footer, maker_move_count=state.maker_moves,
