@@ -45,7 +45,6 @@ from .strategies import BREAKER_IDS, BREAKERS, MAKER_IDS, MAKERS, ScriptError
 from .transcript import (
     Footer,
     TranscriptFormatError,
-    parse_transcript,
     read_transcript,
     write_transcript,
 )
@@ -269,15 +268,8 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_replay(args) -> int:
-    if args.transcript == "-":
-        try:
-            text = sys.stdin.read()
-        except UnicodeDecodeError as exc:
-            raise TranscriptFormatError(
-                f"transcript is not UTF-8: {exc}") from exc
-        transcript = parse_transcript(text)
-    else:
-        transcript = read_transcript(args.transcript)
+    transcript = read_transcript(
+        sys.stdin if args.transcript == "-" else args.transcript)
     footer = replay_transcript(transcript)
     header = transcript.header
     bound = _resolve_bound(args.bound, header.goal, header.maker, header.n)

@@ -38,8 +38,9 @@ Conventions
   shared between states. ``copy()`` returns an independent state, for
   callers that branch or must keep a position.
 * ``tainted`` holds the vertices that are unvisited and touched by a
-  Breaker edge: ``unvisited & breaker_touched``, kept by ``apply_move``
-  so that no reader rebuilds it.
+  Breaker edge, kept by ``apply_move`` so that no reader rebuilds it: a
+  Breaker claim adds its unvisited ends, and a Maker claim removes the
+  ends it visits.
 * ``round`` counts completed (first player, second player) pairs;
   Maker moves are tallied separately because the win bounds are stated
   in Maker moves.
@@ -152,8 +153,7 @@ class GameState:
     maker_pos: Optional[int]
     breaker_pos: Optional[int]
     unvisited: set          # vertices incident to no Maker edge
-    breaker_touched: set    # vertices incident to at least one Breaker edge
-    tainted: set            # unvisited & breaker_touched
+    tainted: set            # unvisited vertices incident to a Breaker edge
     maker_edges: list       # (low, high) pairs in claim order
     breaker_edges: list
     round: int
@@ -182,7 +182,6 @@ class GameState:
             self,
             rows=[bytearray(row) for row in self.rows],
             unvisited=set(self.unvisited),
-            breaker_touched=set(self.breaker_touched),
             tainted=set(self.tainted),
             maker_edges=list(self.maker_edges),
             breaker_edges=list(self.breaker_edges),
@@ -236,7 +235,6 @@ def new_game(n: int, bias: Bias = Bias(1, 1),
         maker_pos=None,
         breaker_pos=None,
         unvisited=set(range(n)),
-        breaker_touched=set(),
         tainted=set(),
         maker_edges=[],
         breaker_edges=[],
@@ -372,7 +370,6 @@ def apply_move(state: GameState, player: Player, move: Move) -> None:
                 tainted.difference_update(claimed)
                 state.maker_edges.append(claimed)
             else:
-                state.breaker_touched.update(claimed)
                 unvisited = state.unvisited
                 for v in claimed:
                     if v in unvisited:
@@ -400,17 +397,11 @@ def apply_move(state: GameState, player: Player, move: Move) -> None:
 
 def degree_b(state: GameState, x: int, restrict: Optional[Iterable[int]] = None) -> int:
     """Breaker degree of x, optionally counting only neighbours in ``restrict``
-    (distinct vertices), counted from x's edge row.
-
-    The restricted count scans only ``restrict`` intersected with
-    ``breaker_touched``: every Breaker edge of x ends at a Breaker-touched
-    vertex, so no other neighbour can count.
-    """
+    (distinct vertices), counted from x's edge row."""
     row = state.rows[x]
     if restrict is None:
         return row.count(BREAKER_OWNED)
-    return sum(1 for t in state.breaker_touched.intersection(restrict)
-               if row[t] == BREAKER_OWNED)
+    return sum(1 for t in restrict if row[t] == BREAKER_OWNED)
 
 
 def degree_m(state: GameState, x: int, restrict: Optional[Iterable[int]] = None) -> int:

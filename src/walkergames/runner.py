@@ -8,10 +8,13 @@ the first divergence, so a transcript is an independently checkable
 proof of play.
 
 Both advance one ``GameState`` in place from ``_start``'s fresh board.
-A move's record, its round and origin, is read before ``apply_move``
-plays it, and the monitor suite then sees the move with the state it
-left. The policies see that same live state, so they must not keep it
-between calls; the result's ``final_state`` is it, after the last move.
+A move's recorded fields, its round, player, from and to, are read by
+one ``_record_fields`` from the state before ``apply_move`` plays it:
+play writes them into the record, and replay compares each entry with
+them and names the first field that differs. The monitor suite then
+sees the move with the state it left. The policies see that same live
+state, so they must not keep it between calls; the result's
+``final_state`` is it, after the last move.
 
 Outcome rules, stated once in ``deduce_outcome``: the runner calls it
 after every move and stops at the first verdict other than
@@ -166,22 +169,29 @@ def _footer(winner: str, reason: str, state: GameState, suite: MonitorSuite,
     )
 
 
+# The JSON keys of the fields that ``_record_fields`` derives.
+_RECORDED = ("round", "player", "from", "to")
+
+
+def _record_fields(state: GameState, player: Player, move: Move) -> tuple:
+    """The round, player, from and to that the record of ``move`` holds,
+    read from the state before it.
+
+    Replay calls this once per move, so the player's name is read from
+    ``_value_``, the plain attribute behind the slower ``value`` property.
+    """
+    kind = move.kind
+    return (state.round, player._value_,
+            move.start if kind is MoveKind.PLACE else state.position(player),
+            None if kind is MoveKind.PASS else move.target)
+
+
 def _record_for(entries: list, state: GameState, player: Player,
                 move: Move) -> MoveRecord:
     """The record of ``move``, read from the state before it."""
-    if move.kind is MoveKind.PLACE:
-        origin = move.start
-    else:
-        origin = state.position(player)
-    target = None if move.kind is MoveKind.PASS else move.target
-    return MoveRecord(
-        index=len(entries),
-        round=state.round,
-        player=player.value,
-        kind=move.kind.value,
-        from_vertex=origin,
-        to_vertex=target,
-    )
+    rnd, name, origin, target = _record_fields(state, player, move)
+    return MoveRecord(len(entries), rnd, name, move.kind.value, origin,
+                      target)
 
 
 def run_game(config: GameConfig,
@@ -260,59 +270,34 @@ def run_game(config: GameConfig,
     )
 
 
-# The players and move kinds a record may name, by value, for replay to
-# look up in place of the slower Enum constructors. MoveRecord fields are
-# untyped, so a lookup may meet an unhashable value (TypeError).
-_PLAYER_OF = {p.value: p for p in Player}
+# The move kinds by name, for replay to look up in place of the slower
+# Enum constructor. The reader admits only these names.
 _KIND_OF = {k.value: k for k in MoveKind}
 
 
 def _move_from_record(rec: MoveRecord) -> Move:
-    try:
-        kind = _KIND_OF[rec.kind]
-    except (KeyError, TypeError) as exc:
-        raise ReplayMismatchError(
-            "illegal-recorded-move",
-            f"entry {rec.index}: unknown move kind {rec.kind!r}") from exc
-    if kind is MoveKind.PASS:
-        return Move.pass_()
-    placing = kind is MoveKind.PLACE
-    if rec.to_vertex is None or placing and rec.from_vertex is None:
-        raise ReplayMismatchError(
-            "illegal-recorded-move",
-            f"entry {rec.index}: {kind.value} needs "
-            f"{'both endpoints' if placing else 'a target'}")
-    return Move(kind, rec.from_vertex if placing else None, rec.to_vertex)
+    """The move ``rec`` records. A pass keeps the recorded ``to``, which
+    replay then finds differs from the None that play records."""
+    kind = _KIND_OF[rec.kind]
+    return Move(kind, rec.from_vertex if kind is MoveKind.PLACE else None,
+                rec.to_vertex)
 
 
 def _replay_entry(state: GameState, rec: MoveRecord,
                   suite: MonitorSuite) -> None:
-    """Check one recorded move against the engine and play it on
-    ``state``."""
-    try:
-        player = _PLAYER_OF[rec.player]
-    except (KeyError, TypeError) as exc:
-        raise ReplayMismatchError(
-            "illegal-recorded-move",
-            f"entry {rec.index}: unknown player {rec.player!r}") from exc
-    if player is not state.to_move:
-        raise ReplayMismatchError(
-            "illegal-recorded-move",
-            f"entry {rec.index}: recorded mover {rec.player} but "
-            f"{state.to_move.value} is to move")
-    if rec.round != state.round:
-        raise ReplayMismatchError(
-            "illegal-recorded-move",
-            f"entry {rec.index}: recorded round {rec.round}, engine "
-            f"round {state.round}")
+    """Check one recorded move against the fields play would record for
+    it and against the engine, and play it on ``state``."""
+    player = state.to_move
     move = _move_from_record(rec)
-    expected_origin = (move.start if move.kind is MoveKind.PLACE
-                       else state.position(player))
-    if rec.from_vertex != expected_origin:
+    expected = _record_fields(state, player, move)
+    recorded = (rec.round, rec.player, rec.from_vertex, rec.to_vertex)
+    if recorded != expected:
+        key, got, want = next(d for d in zip(_RECORDED, recorded, expected)
+                              if d[1] != d[2])
         raise ReplayMismatchError(
             "illegal-recorded-move",
-            f"entry {rec.index}: recorded origin {rec.from_vertex}, "
-            f"engine position {expected_origin}")
+            f"entry {rec.index}: recorded {key} {got!r}, play records "
+            f"{want!r}")
     try:
         apply_move(state, player, move)
     except IllegalMoveError as exc:

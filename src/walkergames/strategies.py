@@ -144,11 +144,10 @@ def _relocate(state: GameState, mem: StrategyMemory) -> Move:
     Used only when fewer than three vertices remain and no direct claim
     exists. Prefers the landing vertex with the most free edges into
     the unvisited set; traversals beat claims on ties (they spend no
-    edge), lowest index last.
+    edge), lowest index last. The Maker is placed, so she owns the edge
+    she arrived by and always has a move.
     """
     moves = legal_moves(state, Player.MAKER)
-    if moves[0].kind is MoveKind.PASS:
-        return moves[0]
     unvisited = state.unvisited
 
     def access(t: int) -> int:
@@ -535,7 +534,8 @@ def greedy_breaker_move(state: GameState) -> Move:
     one ``_best_unvisited_target`` picks, found from the tainted
     vertices alone. Only when none exists does the policy read its
     position's whole edge row: a claim to a visited vertex, then the
-    lowest traversal. That fallback reads the row itself, not
+    lowest traversal, which always exists, since the Breaker owns the
+    edge he arrived by. That fallback reads the row itself, not
     ``nth_move``, so it answers whoever is to move.
     """
     if state.breaker_pos is None:
@@ -548,10 +548,7 @@ def greedy_breaker_move(state: GameState) -> Move:
     free = [t for t, c in enumerate(row) if c == FREE]
     if free:
         return Move.claim(min(free, key=lambda t: (-degree_b(state, t), t)))
-    traverse = row.find(BREAKER_OWNED)
-    if traverse >= 0:
-        return Move.traverse(traverse)
-    return Move.pass_()
+    return Move.traverse(row.find(BREAKER_OWNED))
 
 
 def delaying_breaker_move(state: GameState, mem: StrategyMemory) -> Move:

@@ -8,20 +8,23 @@ reader rejects unknown format versions instead of guessing, and rejects
 a line that is valid JSON but not canonical.
 
 Move lines, nearly every line of a transcript, have one fixed canonical
-form, ``_MOVE_LINE``. The writer renders a move with that one format
-string whenever the record's fields are ints or None and its player and
-kind are known names, and otherwise falls back to ``canonical``. The
-reader matches each line against the same form, with ints of at most
-nine digits, and builds the record from the match; any other line goes
-through ``json.loads`` and the canonical check, so a line that misses
-the fast form gets exactly the checks and errors of the general path.
+form, ``_MOVE_LINE``, and the writer renders every move with that one
+format string. A record's rules are checked once, by the reader: its
+index and round are ints, its from and to ints or null, and its player
+and kind known names, or the line is a format error naming the field.
+Every record that play builds or the reader returns holds such values,
+so ``_MOVE_LINE`` writes it as ``canonical`` would. The reader matches
+each line against the same form, with ints of at most nine digits, and
+builds the record from the match; any other line goes through
+``json.loads`` and the canonical check, so a line that misses the fast
+form gets exactly the checks and errors of the general path.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, TextIO
 
 from .engine import MoveKind, Player
 
@@ -48,6 +51,14 @@ def _typed(value, what: str, kind: type = int, nullable: bool = False):
     if type(value) is not kind:
         name = _TYPE_NAMES[kind] + (" or null" if nullable else "")
         raise TranscriptFormatError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
+def _named(value, what: str, names: frozenset) -> str:
+    """``value`` when it is one of the strings ``names``."""
+    if type(value) is not str or value not in names:
+        raise TranscriptFormatError(
+            f"{what} must be one of {', '.join(sorted(names))}, got {value!r}")
     return value
 
 
@@ -136,8 +147,8 @@ class MoveRecord:
         return MoveRecord(
             index=_typed(obj["index"], "move index"),
             round=_typed(obj["round"], "move round"),
-            player=obj["player"],
-            kind=obj["kind"],
+            player=_named(obj["player"], "move player", _PLAYERS),
+            kind=_named(obj["kind"], "move kind", _KINDS),
             from_vertex=_typed(obj["from"], "move from", nullable=True),
             to_vertex=_typed(obj["to"], "move to", nullable=True),
         )
@@ -182,16 +193,10 @@ class Footer:
 
 
 def _move_line(e: MoveRecord) -> str:
-    """``canonical(e.to_json())``, through ``_MOVE_LINE`` when that
-    renders it byte-identically."""
+    """``canonical(e.to_json())``, rendered through ``_MOVE_LINE``."""
     f, t = e.from_vertex, e.to_vertex
-    if (type(e.index) is int and type(e.round) is int
-            and (f is None or type(f) is int) and (t is None or type(t) is int)
-            and type(e.kind) is str and e.kind in _KINDS
-            and type(e.player) is str and e.player in _PLAYERS):
-        return _MOVE_LINE % ("null" if f is None else f, e.index, e.kind,
-                             e.player, e.round, "null" if t is None else t)
-    return canonical(e.to_json())
+    return _MOVE_LINE % ("null" if f is None else f, e.index, e.kind,
+                         e.player, e.round, "null" if t is None else t)
 
 
 @dataclass(slots=True)
@@ -305,10 +310,15 @@ def parse_transcript(text: str) -> Transcript:
     return Transcript(header=header, entries=entries, footer=footer)
 
 
-def read_transcript(path: str) -> Transcript:
+def read_transcript(source: str | TextIO) -> Transcript:
+    """The transcript read from ``source``, an open text file such as
+    ``sys.stdin``, or else the path of a UTF-8 file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except UnicodeDecodeError as exc:
         raise TranscriptFormatError(f"transcript is not UTF-8: {exc}") from exc
     return parse_transcript(text)

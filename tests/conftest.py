@@ -93,7 +93,6 @@ def relabel_state(state: GameState, perm) -> GameState:
     maker_edges = pe(state.maker_edges)
     breaker_edges = pe(state.breaker_edges)
     unvisited = {perm[v] for v in state.unvisited}
-    breaker_touched = {perm[v] for v in state.breaker_touched}
     return GameState(
         n=n,
         bias=state.bias,
@@ -102,8 +101,7 @@ def relabel_state(state: GameState, perm) -> GameState:
         maker_pos=pv(state.maker_pos),
         breaker_pos=pv(state.breaker_pos),
         unvisited=unvisited,
-        breaker_touched=breaker_touched,
-        tainted=unvisited & breaker_touched,
+        tainted={perm[v] for v in state.tainted},
         maker_edges=maker_edges,
         breaker_edges=breaker_edges,
         round=state.round,
@@ -153,7 +151,6 @@ def build_state(n, maker_edges=(), breaker_edges=(), maker_pos=None,
         maker_pos=maker_pos,
         breaker_pos=breaker_pos,
         unvisited=unvisited,
-        breaker_touched=breaker_touched,
         tainted=unvisited & breaker_touched,
         maker_edges=maker_edges,
         breaker_edges=breaker_edges,

@@ -207,8 +207,8 @@ class TestApplyMove:
 def _frozen(state):
     """Every row byte, set, list and counter of a state, as values."""
     return ([bytes(row) for row in state.rows], state.maker_pos,
-            state.breaker_pos, set(state.unvisited), set(state.breaker_touched),
-            set(state.tainted), list(state.maker_edges),
+            state.breaker_pos, set(state.unvisited), set(state.tainted),
+            list(state.maker_edges),
             list(state.breaker_edges), state.round, state.to_move,
             state.moves_left_in_turn, state.maker_moves, state.breaker_moves,
             state.passes)
@@ -260,8 +260,7 @@ class TestInPlaceContract:
         assert twin.rows is not state.rows
         for v in range(state.n):
             assert twin.rows[v] is not state.rows[v]
-        for name in ("unvisited", "breaker_touched", "tainted",
-                     "maker_edges", "breaker_edges"):
+        for name in ("unvisited", "tainted", "maker_edges", "breaker_edges"):
             assert getattr(twin, name) is not getattr(state, name), name
         # Playing on, and writing into, the copy leaves the source as it was.
         frozen = _frozen(state)
@@ -271,7 +270,6 @@ class TestInPlaceContract:
                        rng.choice(legal_moves(twin, twin.to_move)))
         twin.rows[0][1] = twin.rows[1][0] = FREE
         twin.unvisited.add(99)
-        twin.breaker_touched.add(99)
         twin.tainted.add(99)
         twin.maker_edges.append((0, 99))
         twin.breaker_edges.append((0, 99))
@@ -362,6 +360,14 @@ class TestGoals:
             hamilton_won(state)
 
 
+def _assert_placed_mover_can_move(state):
+    """A placed walker owns the edge it arrived by, so it can always
+    traverse it and never has to pass."""
+    player = state.to_move
+    if state.position(player) is not None:
+        assert count_moves(state, player) >= 1
+
+
 class TestRecomputation:
     @pytest.mark.parametrize("first", list(Player))
     @pytest.mark.parametrize("bias", BIASES)
@@ -371,8 +377,8 @@ class TestRecomputation:
             unvisited = recomputed_unvisited(state)
             touched = recomputed_breaker_touched(state)
             assert state.unvisited == unvisited
-            assert state.breaker_touched == touched
             assert state.tainted == unvisited & touched
+            _assert_placed_mover_can_move(state)
             dm, db = recomputed_degrees(state)
             assert [degree_m(state, v) for v in range(state.n)] == dm
             assert [degree_b(state, v) for v in range(state.n)] == db
@@ -386,6 +392,7 @@ class TestRecomputation:
         for state in random_playout_states(n, seed, steps, bias, first):
             assert state.tainted == (recomputed_unvisited(state)
                                      & recomputed_breaker_touched(state))
+            _assert_placed_mover_can_move(state)
             rows = state.rows
             codes = edge_codes(state)
             assert len(rows) == n

@@ -151,10 +151,12 @@ _INT = st.one_of(st.integers(), st.sampled_from([0, 10**9 - 1, 10**9]))
 _VERTEX = st.one_of(st.none(), _INT)
 _PLAYER = st.sampled_from(["maker", "breaker"])
 _KIND = st.sampled_from(["place", "claim", "traverse", "pass"])
-# JSON values that the fast form cannot render or read.
+# JSON values that name no player and no move kind.
 _ODD = st.one_of(st.none(), st.booleans(), st.integers(), st.text(),
                  st.sampled_from(["Maker", "claim ", 'a"b', "a\\b",
-                                  "\u2028", "\x00", "Kőnig", 1.0, [1]]))
+                                  "\u2028", "\x00", "Kőnig", 1.0, [1]])
+                 ).filter(lambda v: v not in ("maker", "breaker", "place",
+                                              "claim", "traverse", "pass"))
 
 
 class TestMoveCodec:
@@ -163,37 +165,36 @@ class TestMoveCodec:
     with ``canonical`` byte for byte."""
 
     @settings(derandomize=True, max_examples=300)
-    @given(fields=st.tuples(_INT, _INT, _PLAYER, _KIND, _VERTEX, _VERTEX),
-           # MoveKind.CLAIM is a str subclass that json writes as "claim"
-           # and %s does not.
-           odd=st.one_of(_ODD, st.just(MoveKind.CLAIM)))
-    def test_written_line_is_canonical(self, fields, odd):
-        # A record of the fast form, and a copy of it with each field in
-        # turn replaced by the odd value.
-        records = [MoveRecord(*fields)] + [
-            MoveRecord(*fields[:i], odd, *fields[i + 1:]) for i in range(6)]
-        for record in records:
-            line = Transcript(header=_HEADER, entries=[record]).to_lines()[1]
-            assert line == canonical(record.to_json())
+    @given(fields=st.tuples(_INT, _INT, _PLAYER, _KIND, _VERTEX, _VERTEX))
+    def test_written_line_is_canonical(self, fields):
+        record = MoveRecord(*fields)
+        line = Transcript(header=_HEADER, entries=[record]).to_lines()[1]
+        assert line == canonical(record.to_json())
 
     @settings(derandomize=True, max_examples=300)
-    @given(st.lists(st.tuples(_INT, st.one_of(_PLAYER, _ODD),
-                              st.one_of(_KIND, _ODD), _VERTEX, _VERTEX),
+    @given(st.lists(st.tuples(_INT, _PLAYER, _KIND, _VERTEX, _VERTEX),
                     max_size=6))
     def test_lines_parse_back_to_equal_records(self, fields):
         # Indices count up from 0 and rounds never decrease, as the
-        # parser requires; players and kinds are not typed.
+        # parser requires.
         rounds = sorted(f[0] for f in fields)
         entries = [MoveRecord(i, r, player, kind, a, b)
                    for i, (r, (_, player, kind, a, b))
                    in enumerate(zip(rounds, fields))]
         text = Transcript(header=_HEADER, entries=entries).dumps()
         parsed = parse_transcript(text)
-
-        def typed(records):     # True == 1, so compare the types too
-            return [(r, type(r.player), type(r.kind)) for r in records]
-        assert typed(parsed.entries) == typed(entries)
+        assert parsed.entries == entries
         assert parsed.dumps() == text
+
+    @settings(derandomize=True, max_examples=300)
+    @given(key=st.sampled_from(["player", "kind"]), odd=_ODD)
+    def test_unknown_player_or_kind_is_rejected(self, key, odd):
+        obj = MoveRecord(0, 0, "breaker", "place", 0, 1).to_json()
+        obj[key] = odd
+        text = canonical(_HEADER.to_json()) + "\n" + canonical(obj) + "\n"
+        with pytest.raises(TranscriptFormatError,
+                           match=f"line 2: move {key} must be one of"):
+            parse_transcript(text)
 
     # Each variant holds the same JSON value as the line it replaces, so
     # only the canonical check can reject it.
@@ -651,12 +652,15 @@ class TestExitCodes:
     # Each case reaches one rejection in replay or in the parser; the
     # detail pins which one.
     @pytest.mark.parametrize("line,changes,tag,detail", [
-        (1, {"kind": "jump"}, "illegal-recorded-move", "unknown move kind"),
-        (1, {"from": None}, "illegal-recorded-move", "needs both endpoints"),
-        (1, {"to": None}, "illegal-recorded-move", "needs both endpoints"),
-        (3, {"to": None}, "illegal-recorded-move", "claim needs a target"),
-        (2, {"player": "nobody"}, "illegal-recorded-move", "unknown player"),
-        (3, {"from": 4}, "illegal-recorded-move", "recorded origin 4"),
+        (1, {"kind": "jump"}, "transcript-format",
+         "move kind must be one of"),
+        (1, {"from": None}, "illegal-recorded-move", "out-of-range"),
+        (1, {"to": None}, "illegal-recorded-move", "out-of-range"),
+        (3, {"to": None}, "illegal-recorded-move", "out-of-range"),
+        (2, {"player": "nobody"}, "transcript-format",
+         "move player must be one of"),
+        (3, {"from": 4}, "illegal-recorded-move",
+         "recorded from 4, play records"),
         (3, {"kind": "pass", "to": None}, "illegal-recorded-move",
          "pass-with-moves"),
         (0, {"goal": "treasure"}, "header", "unknown goal 'treasure'"),
@@ -665,10 +669,17 @@ class TestExitCodes:
          "missing field 'winner'"),
         (1, {"record": "note"}, "transcript-format", "unknown record 'note'"),
         # Non-string and unhashable players and kinds.
-        (2, {"player": [1]}, "illegal-recorded-move", "unknown player"),
-        (2, {"player": 5}, "illegal-recorded-move", "unknown player"),
-        (1, {"kind": {"a": 1}}, "illegal-recorded-move", "unknown move kind"),
-        (1, {"kind": None}, "illegal-recorded-move", "unknown move kind"),
+        (2, {"player": [1]}, "transcript-format",
+         "move player must be one of"),
+        (2, {"player": 5}, "transcript-format", "move player must be one of"),
+        (1, {"kind": {"a": 1}}, "transcript-format",
+         "move kind must be one of"),
+        (1, {"kind": None}, "transcript-format", "move kind must be one of"),
+        # A known name or value that play would not record here.
+        (3, {"kind": "pass"}, "illegal-recorded-move",
+         "recorded to 1, play records None"),
+        (2, {"player": "breaker"}, "illegal-recorded-move",
+         "recorded player 'breaker', play records 'maker'"),
     ])
     def test_rejected_record_exits_4(self, tmp_path, capsys, line, changes,
                                      tag, detail):
