@@ -269,7 +269,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_replay(args) -> int:
     transcript = read_transcript(
-        sys.stdin if args.transcript == "-" else args.transcript)
+        sys.stdin.buffer if args.transcript == "-" else args.transcript)
     footer = replay_transcript(transcript)
     header = transcript.header
     bound = _resolve_bound(args.bound, header.goal, header.maker, header.n)

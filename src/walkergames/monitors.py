@@ -9,16 +9,17 @@ counted and reported, and the caller decides whether to abort.
 The suite arms itself only for the setting the guarantees cover:
 pursuit-based Maker, one move per side per turn, Breaker moving first,
 and a board no smaller than the configured floor size. Anything else
-leaves every check dormant and the report marked unarmed. A suite
-built with monitoring off observes nothing and reports None.
+leaves every check dormant and the report marked unarmed. The suite
+reads that setting from the transcript header, and a header with
+monitoring off makes a suite that observes nothing and reports None.
 
-``observe(move, state)`` takes each move with the state it left, since
-play advances one state in place and keeps no state from before the
-move. The armed premise is what makes that enough: at (1:1) with the
-Breaker first, every move ends a turn and every Maker move ends a
-round, so ``moved`` derives the mover, the round before the move and
-the vertices it first visited from the state after it. An unarmed
-suite only counts the move.
+``observe(record, state)`` takes each move's transcript record with the
+state the move left: the record that play has just built, or that
+replay has just checked. The record names the mover, the round before
+the move, its kind and its index, so the suite reads those facts from
+the transcript and not from the state. The vertices a Maker move first
+visited are those ends of its edge that hold no other Maker edge. An
+unarmed suite ignores the move.
 
 Checks
 ------
@@ -53,9 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import (Bias, GameState, Move, MoveKind, Player,
-                     breaker_edge_inside_unvisited, degree_b, degree_m)
+from .engine import (GameState, breaker_edge_inside_unvisited, degree_b,
+                     degree_m)
 from .strategies import MAKERS
+from .transcript import Header, MoveRecord
 
 CHECK_NAMES = (
     "breaker_edges_touch_maker",
@@ -164,71 +166,50 @@ def maker_edges_form_simple_path(state: GameState) -> bool:
     return steps == len(edges)
 
 
-def moved(move: Move, state: GameState) -> tuple:
-    """(mover, round before the move, vertices it first visited) of a
-    move, read from the state after it, at bias (1:1) with the Breaker
-    first, the one setting the suite arms for.
-
-    Every move ends a turn, so the mover is the side not to move. Every
-    Maker move ends a round, so the round before it was one less. A
-    Maker placement or claim first visits those ends of its edge that
-    hold no other Maker edge; they are listed in ascending order.
-    """
-    mover = state.to_move.other
-    if mover is Player.BREAKER:
-        return mover, state.round, []
-    if move.kind is MoveKind.PASS or move.kind is MoveKind.TRAVERSE:
-        return mover, state.round - 1, []
-    return mover, state.round - 1, [v for v in state.maker_edges[-1]
-                                    if degree_m(state, v) == 1]
-
-
 class MonitorSuite:
     """Observes applied moves and scores the guarantee checks."""
 
-    def __init__(self, n: int, maker_id: str, bias: Bias,
-                 first_player: Player, n0: int = DEFAULT_N0,
-                 enabled: bool = True):
-        self.n = n
-        self.maker_id = maker_id
-        self.bias = bias
-        self.first_player = first_player
-        self.enabled = enabled
-        spec = MAKERS[maker_id]
-        self.armed = (enabled
-                      and n >= n0
+    def __init__(self, header: Header):
+        self.header = header
+        spec = MAKERS[header.maker]
+        self.armed = (header.monitors
+                      and header.n >= header.n0
                       and spec.pursuit
-                      and tuple(bias[:2]) == (1, 1)
-                      and first_player is Player.BREAKER)
+                      and tuple(header.bias) == (1, 1)
+                      and header.first_player == "breaker")
         self.checks = {name: CheckStats() for name in CHECK_NAMES}
         self.max_first_visit_degree: Optional[int] = None
         self.pass_entries: list = []
-        self._index = -1
         self._prev_round_breaker_end: Optional[int] = None
-        self._pursuit_limit = n - spec.pursuit_left
+        self._pursuit_limit = header.n - spec.pursuit_left
 
     # -- event handling ----------------------------------------------------
 
-    def observe(self, move: Move, state: GameState):
-        """Feed one applied move and the state it left. Must be called
-        for every move in game order."""
-        self._index += 1
+    def observe(self, record: MoveRecord, state: GameState):
+        """Feed one applied move's record and the state it left. Must be
+        called for every move in game order."""
         if not self.armed:
             return
-        if move.kind is MoveKind.PASS:
-            self.pass_entries.append(self._index)
-        mover, round_before, visited = moved(move, state)
-        if mover is Player.BREAKER:
-            self._prereply_check(state, round_before)
+        kind = record.kind
+        if kind == "pass":
+            self.pass_entries.append(record.index)
+        if record.player == "breaker":
+            self._prereply_check(state, record.round)
             return
-        if move.kind is not MoveKind.PASS:
-            self._maker_move_checks(state, round_before + 1, visited)
-        self._round_completed_checks(state)
+        # Every Maker move ends a round in the armed setting.
+        round_1b = record.round + 1
+        if kind != "pass":
+            self._maker_move_checks(state, round_1b, kind == "traverse")
+        self._round_completed_checks(state, round_1b)
 
     def _maker_move_checks(self, state: GameState, round_1b: int,
-                           visited: list):
-        in_pursuit_window = state.maker_moves <= self.n - 3
+                           traversed: bool):
+        in_pursuit_window = state.maker_moves <= self.header.n - 3
 
+        # A placement or claim first visits those ends of its edge that
+        # hold no other Maker edge; a traversal visits none.
+        visited = () if traversed else [v for v in state.maker_edges[-1]
+                                        if degree_m(state, v) == 1]
         stats = self.checks["first_visit_degree"]
         for v in visited:
             if not in_pursuit_window:
@@ -281,8 +262,7 @@ class MonitorSuite:
                 f"degree 2 from position {w} but the previous round ended "
                 f"with the opponent at {self._prev_round_breaker_end}")
 
-    def _round_completed_checks(self, state: GameState):
-        round_1b = state.round
+    def _round_completed_checks(self, state: GameState, round_1b: int):
         gate = len(state.unvisited) > 2
 
         stats = self.checks["breaker_edges_touch_maker"]
@@ -328,13 +308,14 @@ class MonitorSuite:
 
     def report(self) -> Optional[dict]:
         """The check results, or None when monitoring is off."""
-        if not self.enabled:
+        header = self.header
+        if not header.monitors:
             return None
         return {
             "armed": self.armed,
-            "maker": self.maker_id,
-            "bias": [self.bias.maker, self.bias.breaker],
-            "first_player": self.first_player.value,
+            "maker": header.maker,
+            "bias": list(header.bias),
+            "first_player": header.first_player,
             "pursuit_move_limit": self._pursuit_limit,
             "checks": {name: self.checks[name].to_json() for name in CHECK_NAMES},
             "max_first_visit_degree": self.max_first_visit_degree,

@@ -11,10 +11,11 @@ Both advance one ``GameState`` in place from ``_start``'s fresh board.
 A move's recorded fields, its round, player, from and to, are read by
 one ``_record_fields`` from the state before ``apply_move`` plays it:
 play writes them into the record, and replay compares each entry with
-them and names the first field that differs. The monitor suite then
-sees the move with the state it left. The policies see that same live
-state, so they must not keep it between calls; the result's
-``final_state`` is it, after the last move.
+them and names the first field that differs. The monitor suite, built
+from the header, then observes that record with the state the move
+left, so play and replay feed it the same stream. The policies see
+that same live state, so they must not keep it between calls; the
+result's ``final_state`` is it, after the last move.
 
 Outcome rules, stated once in ``deduce_outcome``: the runner calls it
 after every move and stops at the first verdict other than
@@ -121,9 +122,7 @@ def _start(header: Header) -> tuple:
     if header.goal not in GOALS:
         raise ValueError(f"unknown goal {header.goal!r}; choose from "
                          f"{', '.join(GOALS)}")
-    bias = Bias(*header.bias)
-    first = Player(header.first_player)
-    state = new_game(header.n, bias, first)
+    state = new_game(header.n, Bias(*header.bias), Player(header.first_player))
     spec = spec_of(Player.MAKER, header.maker)
     if (header.goal == "hamilton" and not spec.certifies
             and header.n > HAMILTON_SEARCH_LIMIT):
@@ -131,9 +130,7 @@ def _start(header: Header) -> tuple:
             f"maker {header.maker!r} does not certify a Hamilton cycle, and "
             f"the search for one is capped at n <= {HAMILTON_SEARCH_LIMIT}; "
             f"the goal at n={header.n} cannot be decided")
-    suite = MonitorSuite(header.n, header.maker, bias, first,
-                         n0=header.n0, enabled=header.monitors)
-    return state, suite
+    return state, MonitorSuite(header)
 
 
 def deduce_outcome(header: Header, final_state: GameState,
@@ -243,7 +240,7 @@ def run_game(config: GameConfig,
             record = _record_for(entries, state, player, move)
             apply_move(state, player, move)
             entries.append(record)
-            suite.observe(move, state)
+            suite.observe(record, state)
             if certificate_of is not None:
                 certificate = certificate_of()
         winner, reason = deduce_outcome(
@@ -304,7 +301,7 @@ def _replay_entry(state: GameState, rec: MoveRecord,
         raise ReplayMismatchError(
             "illegal-recorded-move",
             f"entry {rec.index}: {exc}") from exc
-    suite.observe(move, state)
+    suite.observe(rec, state)
 
 
 def replay_transcript(transcript: Transcript) -> Footer:

@@ -522,7 +522,8 @@ def random_walker_move(state: GameState, rng: random.Random) -> Move:
     if state.position(player) is None:
         # The placement draw still lists its moves. Without these lists
         # the benchmark's peak_rss_mb on sweep reads the harness's own
-        # uncollected set-up garbage and rises; see ROADMAP item 1.
+        # uncollected set-up garbage and rises; see ROADMAP item 2 (the
+        # memory metric) and item 3 (cutting this list).
         return rng.choice(legal_moves(state, player))
     return nth_move(state, player, rng.randrange(count_moves(state, player) or 1))
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from pathlib import Path
+from typing import BinaryIO, Optional
 
 from .engine import MoveKind, Player
 
@@ -310,15 +311,13 @@ def parse_transcript(text: str) -> Transcript:
     return Transcript(header=header, entries=entries, footer=footer)
 
 
-def read_transcript(source: str | TextIO) -> Transcript:
-    """The transcript read from ``source``, an open text file such as
-    ``sys.stdin``, or else the path of a UTF-8 file."""
+def read_transcript(source: str | BinaryIO) -> Transcript:
+    """The transcript read from ``source``, an open binary file such as
+    ``sys.stdin.buffer``, or else a path. Its bytes must be UTF-8."""
+    data = (source.read() if hasattr(source, "read")
+            else Path(source).read_bytes())
     try:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TranscriptFormatError(f"transcript is not UTF-8: {exc}") from exc
     return parse_transcript(text)

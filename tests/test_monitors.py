@@ -2,8 +2,6 @@
 violation detection on synthetic deviant play."""
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from conftest import (
@@ -18,8 +16,6 @@ from walkergames.engine import (
     Move,
     MoveKind,
     Player,
-    apply_move,
-    legal_moves,
     new_game,
 )
 from walkergames.monitors import (
@@ -29,22 +25,34 @@ from walkergames.monitors import (
     MonitorSuite,
     breaker_edges_all_touch_maker,
     maker_edges_form_simple_path,
-    moved,
     position_unvisited_degree,
     tainted_unvisited_count,
 )
-from walkergames.runner import GameConfig, run_game
+from walkergames.runner import GameConfig, _record_fields, run_game
 from walkergames.strategies import MAKERS, make_policy
+from walkergames.transcript import Header, MoveRecord
 
 
-def _suite(n=20, maker="chase", bias=(1, 1), first=Player.BREAKER, **kw):
-    return MonitorSuite(n, maker, Bias(*bias), first, **kw)
+def _suite(n=20, maker="chase", bias=(1, 1), first=Player.BREAKER, n0=20,
+           monitors=True):
+    return MonitorSuite(Header(
+        n=n, bias=bias, first_player=first.value, maker=maker,
+        breaker="random", goal="connectivity", seed=0, move_cap=10 * n,
+        n0=n0, monitors=monitors, strict=False))
+
+
+def _observe(suite, before, player, move, index=0):
+    """Play ``move`` on a copy of ``before``, feed the suite its record
+    and the state it left, and return that state."""
+    after = successor(before, player, move)
+    rnd, name, origin, target = _record_fields(before, player, move)
+    suite.observe(MoveRecord(index, rnd, name, move.kind.value, origin,
+                             target), after)
+    return after
 
 
 def _observe_maker_move(suite, before, move):
-    after = successor(before, Player.MAKER, move)
-    suite.observe(move, after)
-    return after
+    return _observe(suite, before, Player.MAKER, move)
 
 
 class TestPredicates:
@@ -109,13 +117,12 @@ class TestArming:
         assert suite.armed is False
 
     def test_disabled_suite_is_dormant(self):
-        assert _suite(enabled=False).armed is False
+        assert _suite(monitors=False).armed is False
 
     def test_dormant_suite_records_nothing(self):
         suite = _suite(maker="random")
         state = new_game(20, Bias(1, 1), Player.BREAKER)
-        after = successor(state, Player.BREAKER, Move.place(3, 7))
-        suite.observe(Move.place(3, 7), after)
+        _observe(suite, state, Player.BREAKER, Move.place(3, 7))
         report = suite.report()
         assert report["armed"] is False
         assert report["clean"] is True
@@ -148,8 +155,7 @@ class TestViolationDetection:
                              breaker_edges=[(1, 5), (1, 6)],
                              maker_pos=1, breaker_pos=7,
                              to_move=Player.BREAKER)
-        after = successor(before, Player.BREAKER, Move.claim(1))
-        suite.observe(Move.claim(1), after)
+        _observe(suite, before, Player.BREAKER, Move.claim(1))
         stats = suite.checks["prereply_unvisited_degree"]
         assert stats.evaluated == 1
         assert stats.violations == 1
@@ -161,8 +167,7 @@ class TestViolationDetection:
                              breaker_edges=[(1, 5)],
                              maker_pos=1, breaker_pos=6,
                              to_move=Player.BREAKER)
-        after = successor(before, Player.BREAKER, Move.claim(1))
-        suite.observe(Move.claim(1), after)
+        _observe(suite, before, Player.BREAKER, Move.claim(1))
         assert suite.checks["prereply_unvisited_degree"].violations == 1
 
     def test_prereply_degree_two_allowed_after_round_ending_there(self):
@@ -173,15 +178,14 @@ class TestViolationDetection:
                                 breaker_edges=[(2, 7)],
                                 maker_pos=1, breaker_pos=2,
                                 to_move=Player.MAKER)
-        after = _observe_maker_move(suite, round_end, Move.claim(2))
+        _observe_maker_move(suite, round_end, Move.claim(2))
         assert suite._prev_round_breaker_end == 2
 
         before = build_state(20, maker_edges=[(0, 1), (1, 2)],
                              breaker_edges=[(2, 7)],
                              maker_pos=2, breaker_pos=8,
                              to_move=Player.BREAKER, round=2)
-        after = successor(before, Player.BREAKER, Move.claim(2))
-        suite.observe(Move.claim(2), after)
+        _observe(suite, before, Player.BREAKER, Move.claim(2))
         stats = suite.checks["prereply_unvisited_degree"]
         assert stats.violations == 0
         assert stats.evaluated == 1
@@ -224,13 +228,16 @@ class TestViolationDetection:
         assert "simple path" in stats.detail
 
     def test_pass_entries_are_indexed(self):
+        # The records start at index 5, so a suite that counted its own
+        # calls would list other entries.
         suite = _suite()
         state = build_state(20, maker_edges=[(0, 1)], maker_pos=1,
                             breaker_pos=5, to_move=Player.MAKER)
-        suite.observe(Move.claim(2),
-                      successor(state, Player.MAKER, Move.claim(2)))
-        suite.observe(Move.pass_(), state)
-        assert suite.pass_entries == [1]
+        _observe(suite, state, Player.MAKER, Move.claim(2), index=5)
+        for index in (6, 7):
+            suite.observe(MoveRecord(index, state.round, "maker", "pass",
+                                     state.maker_pos, None), state)
+        assert suite.report()["pass_entries"] == [6, 7]
 
 
 class TestGatingInstants:
@@ -251,8 +258,7 @@ class TestGatingInstants:
     def test_prereply_skips_first_round(self):
         suite = _suite()
         state = new_game(20, Bias(1, 1), Player.BREAKER)
-        after = successor(state, Player.BREAKER, Move.place(3, 7))
-        suite.observe(Move.place(3, 7), after)
+        _observe(suite, state, Player.BREAKER, Move.place(3, 7))
         stats = suite.checks["prereply_unvisited_degree"]
         assert stats.evaluated == 0
         assert stats.skipped == 1
@@ -264,8 +270,7 @@ class TestGatingInstants:
         edges = [(i, i + 1) for i in range(17)]
         before = build_state(20, maker_edges=edges, maker_pos=17,
                              breaker_pos=5, to_move=Player.BREAKER, round=3)
-        after = successor(before, Player.BREAKER, Move.claim(19))
-        suite.observe(Move.claim(19), after)
+        _observe(suite, before, Player.BREAKER, Move.claim(19))
         stats = suite.checks["prereply_unvisited_degree"]
         assert stats.evaluated == 0
         assert stats.skipped == 1
@@ -326,33 +331,6 @@ class TestTaintedShortcut:
         assert found > 0
 
 
-class TestMoveDerivation:
-    """``observe`` sees only the state after a move; ``moved`` derives
-    from it the mover, the round before the move and the vertices the
-    move first visited. In the setting the suite arms for, (1:1) with
-    the Breaker first, these must be what the state before gives."""
-
-    @pytest.mark.parametrize("n", [20, 30])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_the_state_before_each_move(self, n, seed):
-        rng = random.Random(seed)
-        state = new_game(n, Bias(1, 1), Player.BREAKER)
-        kinds = set()
-        for _ in range(4 * n):
-            before = state.copy()
-            move = rng.choice(legal_moves(state, state.to_move))
-            apply_move(state, before.to_move, move)
-            mover, round_before, visited = moved(move, state)
-            assert mover is before.to_move
-            assert round_before == before.round
-            assert visited == sorted(before.unvisited - state.unvisited)
-            if mover is Player.MAKER:
-                kinds.add((move.kind, len(visited)))
-        # Placements visit two vertices, claims one or none, traversals none.
-        assert {(MoveKind.PLACE, 2), (MoveKind.CLAIM, 1), (MoveKind.CLAIM, 0),
-                (MoveKind.TRAVERSE, 0)} <= kinds
-
-
 class TestIncrementalPathShape:
     """``path_shape`` decides the Maker's path by counting the vertices
     her walk has visited; its verdicts must be those of the full
@@ -372,8 +350,7 @@ class TestIncrementalPathShape:
             while state.maker_moves < window + 2:
                 player = state.to_move
                 move = (maker if player is Player.MAKER else breaker)(state)
-                after = successor(state, player, move)
-                suite.observe(move, after)
+                after = _observe(suite, state, player, move)
                 maker_moved = (player is Player.MAKER
                                and move.kind is not MoveKind.PASS)
                 if maker_moved and after.maker_moves > window:

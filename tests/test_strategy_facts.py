@@ -21,7 +21,7 @@ from conftest import build_state
 
 import walkergames
 from walkergames import cli
-from walkergames.engine import Bias, Player
+from walkergames.engine import Player
 from walkergames.monitors import MonitorSuite
 from walkergames.runner import deduce_outcome
 from walkergames.strategies import BREAKER_IDS, MAKER_IDS, ScriptError, make_policy
@@ -54,16 +54,20 @@ def _plus(n, slack):
     return None if slack is None else n + slack
 
 
+def _header(maker, n, n0=20):
+    """A Hamilton game's header, Breaker first at (1:1)."""
+    return Header(n=n, bias=(1, 1), first_player="breaker", maker=maker,
+                  breaker="random", goal="hamilton", seed=0, move_cap=10 * n,
+                  n0=n0, monitors=True, strict=False)
+
+
 def _searched(maker, n):
     """Does the outcome rule call a Maker-owned Hamilton cycle a goal
     when no certificate is recorded?"""
     cycle = [(v, (v + 1) % n) for v in range(n)]
     state = build_state(n, maker_edges=cycle, maker_pos=0)
-    header = Header(n=n, bias=(1, 1), first_player="breaker", maker=maker,
-                    breaker="random", goal="hamilton", seed=0,
-                    move_cap=10 * n, n0=20, monitors=True, strict=False)
-    return deduce_outcome(header, state, None, False, False) == ("maker",
-                                                                 "goal")
+    return deduce_outcome(_header(maker, n), state, None, False,
+                          False) == ("maker", "goal")
 
 
 class TestStrategyFacts:
@@ -75,7 +79,7 @@ class TestStrategyFacts:
     def test_maker_facts(self, maker):
         armed, left, conn, ham, searched, _ = MAKER_FACTS[maker]
         for n in SIZES:
-            suite = MonitorSuite(n, maker, Bias(1, 1), Player.BREAKER, n0=3)
+            suite = MonitorSuite(_header(maker, n, n0=3))
             assert suite.armed is armed
             assert suite.report()["pursuit_move_limit"] == n - left
             assert cli._resolve_bound("auto", "connectivity", maker, n) \

@@ -838,6 +838,14 @@ class TestExitCodes:
 # CLI behavior
 # ---------------------------------------------------------------------------
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A text stdin over ``data`` that, like ``sys.stdin``, has a binary
+    ``buffer``. Its text layer passes bad bytes through as surrogates,
+    as ``sys.stdin`` does under a UTF-8 or POSIX locale."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                            errors="surrogateescape")
+
+
 class TestCliBehavior:
     def test_run_writes_transcript_to_stdout(self, capsys):
         code = cli.main(["run", "--n", "20", "--maker", "connectivity",
@@ -849,11 +857,27 @@ class TestCliBehavior:
 
     def test_replay_reads_stdin(self, capsys, monkeypatch):
         result = _game(seed=8)
-        monkeypatch.setattr("sys.stdin",
-                            io.StringIO(result.transcript.dumps()))
+        monkeypatch.setattr("sys.stdin", _stdin(
+            result.transcript.dumps().encode()))
         code = cli.main(["replay", "-"])
         assert code == 0
         assert "replay ok" in capsys.readouterr().out
+
+    def test_non_utf8_stdin_is_a_format_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", _stdin(b"\xff{}\n"))
+        assert cli.main(["replay", "-"]) == 4
+        err = capsys.readouterr().err
+        assert "error[transcript-format]: transcript is not UTF-8" in err
+
+    def test_crlf_transcript_reads_alike_from_path_and_stream(self,
+                                                              tmp_path):
+        text = _game(seed=8).transcript.dumps()
+        data = text.replace("\n", "\r\n").encode()
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(data)
+        from_path = read_transcript(str(path))
+        from_stream = read_transcript(io.BytesIO(data))
+        assert from_path.dumps() == from_stream.dumps() == text
 
     def test_replay_enforces_requested_bound(self, tmp_path, capsys):
         result = _game(seed=8)
