@@ -166,6 +166,15 @@ def maker_edges_form_simple_path(state: GameState) -> bool:
     return steps == len(edges)
 
 
+def first_visited(state: GameState, kind: str) -> list:
+    """The vertices a Maker move of ``kind`` first visited, read from the
+    state it left: a placement or claim visits those ends of its edge
+    that hold no other Maker edge; a pass or traversal visits none."""
+    if kind in ("pass", "traverse"):
+        return []
+    return [v for v in state.maker_edges[-1] if degree_m(state, v) == 1]
+
+
 class MonitorSuite:
     """Observes applied moves and scores the guarantee checks."""
 
@@ -199,19 +208,13 @@ class MonitorSuite:
         # Every Maker move ends a round in the armed setting.
         round_1b = record.round + 1
         if kind != "pass":
-            self._maker_move_checks(state, round_1b, kind == "traverse")
+            self._maker_move_checks(state, round_1b, kind)
         self._round_completed_checks(state, round_1b)
 
-    def _maker_move_checks(self, state: GameState, round_1b: int,
-                           traversed: bool):
+    def _maker_move_checks(self, state: GameState, round_1b: int, kind: str):
         in_pursuit_window = state.maker_moves <= self.header.n - 3
-
-        # A placement or claim first visits those ends of its edge that
-        # hold no other Maker edge; a traversal visits none.
-        visited = () if traversed else [v for v in state.maker_edges[-1]
-                                        if degree_m(state, v) == 1]
         stats = self.checks["first_visit_degree"]
-        for v in visited:
+        for v in first_visited(state, kind):
             if not in_pursuit_window:
                 stats.miss()
                 continue

@@ -2,6 +2,8 @@
 violation detection on synthetic deviant play."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import (
@@ -16,6 +18,8 @@ from walkergames.engine import (
     Move,
     MoveKind,
     Player,
+    apply_move,
+    legal_moves,
     new_game,
 )
 from walkergames.monitors import (
@@ -24,6 +28,7 @@ from walkergames.monitors import (
     CheckStats,
     MonitorSuite,
     breaker_edges_all_touch_maker,
+    first_visited,
     maker_edges_form_simple_path,
     position_unvisited_degree,
     tainted_unvisited_count,
@@ -329,6 +334,37 @@ class TestTaintedShortcut:
             found += expected is not None
             assert breaker_edges_all_touch_maker(state) == expected
         assert found > 0
+
+
+class TestMoveDerivation:
+    """``observe`` reads the mover and the round before the move from the
+    move's record, and ``first_visited`` reads the vertices a Maker move
+    first visited from the state after it. In the setting the suite arms
+    for, (1:1) with the Breaker first, these must be what the state
+    before gives."""
+
+    @pytest.mark.parametrize("n", [20, 30])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_state_before_each_move(self, n, seed):
+        rng = random.Random(seed)
+        state = new_game(n, Bias(1, 1), Player.BREAKER)
+        kinds = set()
+        for _ in range(4 * n):
+            before = state.copy()
+            move = rng.choice(legal_moves(state, state.to_move))
+            rnd, name, _, _ = _record_fields(state, before.to_move, move)
+            apply_move(state, before.to_move, move)
+            assert name == before.to_move.value
+            assert rnd == before.round
+            if before.to_move is not Player.MAKER:
+                continue
+            visited = first_visited(state, move.kind.value)
+            assert sorted(visited) == sorted(before.unvisited
+                                             - state.unvisited)
+            kinds.add((move.kind, len(visited)))
+        # Placements visit two vertices, claims one or none, traversals none.
+        assert {(MoveKind.PLACE, 2), (MoveKind.CLAIM, 1), (MoveKind.CLAIM, 0),
+                (MoveKind.TRAVERSE, 0)} <= kinds
 
 
 class TestIncrementalPathShape:
