@@ -286,6 +286,8 @@ def _cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
+    if args.node_limit < 1:
+        raise UsageError("--node-limit must be at least 1")
     result = solve(args.n, args.goal, Player(args.first),
                    move_cap=args.move_cap, node_limit=args.node_limit)
     checked = cross_validate(result)

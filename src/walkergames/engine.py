@@ -404,13 +404,9 @@ def degree_b(state: GameState, x: int, restrict: Optional[Iterable[int]] = None)
     return sum(1 for t in restrict if row[t] == BREAKER_OWNED)
 
 
-def degree_m(state: GameState, x: int, restrict: Optional[Iterable[int]] = None) -> int:
-    """Maker degree of x, optionally counting only neighbours in ``restrict``,
-    counted from x's edge row."""
-    row = state.rows[x]
-    if restrict is None:
-        return row.count(MAKER_OWNED)
-    return sum(1 for t in restrict if row[t] == MAKER_OWNED)
+def degree_m(state: GameState, x: int) -> int:
+    """Maker degree of x, counted from x's edge row."""
+    return state.rows[x].count(MAKER_OWNED)
 
 
 def breaker_edge_inside_unvisited(state: GameState) -> bool:

@@ -14,10 +14,16 @@ index and round are ints, its from and to ints or null, and its player
 and kind known names, or the line is a format error naming the field.
 Every record that play builds or the reader returns holds such values,
 so ``_MOVE_LINE`` writes it as ``canonical`` would. The reader matches
-each line against the same form, with ints of at most nine digits, and
-builds the record from the match; any other line goes through
-``json.loads`` and the canonical check, so a line that misses the fast
-form gets exactly the checks and errors of the general path.
+each line against a pattern built from that same string, with ints of
+at most nine digits, and builds the record from the match; any other
+line goes through ``json.loads`` and the canonical check, so a line that
+misses the fast form gets exactly the checks and errors of the general
+path.
+
+The reader takes the lines in file order and checks each in full (its
+JSON, its record and fields, its place in the entry order and its
+canonical form) before it reads the next, so the format error for a
+bad file is always the first bad line's first fault.
 """
 from __future__ import annotations
 
@@ -90,13 +96,22 @@ class Header:
         return obj
 
     @staticmethod
-    def from_json(obj: dict) -> "Header":
-        bias = obj["bias"]
-        if not isinstance(bias, list) or len(bias) != 2:
+    def from_json(obj) -> "Header":
+        """The header held by ``obj``, the value of a transcript's first line."""
+        if not isinstance(obj, dict) or obj.get("record") != "header":
+            raise TranscriptFormatError("first line is not a header record")
+        if obj.get("format") != FORMAT:
             raise TranscriptFormatError(
-                f"header bias must be a pair of integers, got {bias!r}")
-        fields = {key: _typed(obj[key], f"header {key}", kind)
-                  for key, kind in _HEADER_TYPES.items()}
+                f"unknown transcript format {obj.get('format')!r}, expected {FORMAT!r}")
+        try:
+            bias = obj["bias"]
+            if not isinstance(bias, list) or len(bias) != 2:
+                raise TranscriptFormatError(
+                    f"header bias must be a pair of integers, got {bias!r}")
+            fields = {key: _typed(obj[key], f"header {key}", kind)
+                      for key, kind in _HEADER_TYPES.items()}
+        except KeyError as exc:
+            raise TranscriptFormatError(f"header is missing field {exc}") from exc
         if fields["move_cap"] < 1:
             raise TranscriptFormatError(
                 f"header move_cap must be at least 1, got {fields['move_cap']}")
@@ -112,12 +127,12 @@ _KINDS = frozenset(k.value for k in MoveKind)
 
 # The same form read back, with ints below 10**9 in canonical spelling;
 # the groups are from, index, kind, player, round and to.
+_INT = "(?:0|[1-9][0-9]{0,8})"
 _match_move_line = re.compile(
-    r'\{"from":(null|%(int)s),"index":(%(int)s),"kind":"(%(kinds)s)",'
-    r'"player":"(%(players)s)","record":"move","round":(%(int)s),'
-    r'"to":(null|%(int)s)\}'
-    % {"int": "(?:0|[1-9][0-9]{0,8})", "kinds": "|".join(sorted(_KINDS)),
-       "players": "|".join(sorted(_PLAYERS))}).fullmatch
+    re.escape(_MOVE_LINE).replace("%d", "%s")
+    % (f"(null|{_INT})", f"({_INT})", f"({'|'.join(sorted(_KINDS))})",
+       f"({'|'.join(sorted(_PLAYERS))})", f"({_INT})", f"(null|{_INT})")
+).fullmatch
 
 
 # Not frozen: play and parse each build one record per move, and a
@@ -206,15 +221,12 @@ class Transcript:
     entries: list = field(default_factory=list)   # MoveRecord, index order
     footer: Optional[Footer] = None
 
-    def to_lines(self) -> list:
+    def dumps(self) -> str:
         lines = [canonical(self.header.to_json())]
         lines.extend(map(_move_line, self.entries))
         if self.footer is not None:
             lines.append(canonical(self.footer.to_json()))
-        return lines
-
-    def dumps(self) -> str:
-        return "\n".join(self.to_lines()) + "\n"
+        return "\n".join(lines) + "\n"
 
 
 def write_transcript(path: str, transcript: Transcript) -> None:
@@ -222,92 +234,76 @@ def write_transcript(path: str, transcript: Transcript) -> None:
         fh.write(transcript.dumps())
 
 
+def _record(obj, lineno: int, what: str, from_json):
+    """``from_json(obj)``, with a fault in a field named for line ``lineno``."""
+    try:
+        return from_json(obj)
+    except KeyError as exc:
+        raise TranscriptFormatError(
+            f"line {lineno}: {what} missing field {exc}") from exc
+    except TranscriptFormatError as exc:
+        raise TranscriptFormatError(f"line {lineno}: {exc}") from exc
+
+
 def parse_transcript(text: str) -> Transcript:
+    """The transcript in ``text``. Its non-blank lines are read once, in
+    file order, and each is checked in full before the next is read, so
+    the error for a bad file is its first bad line's first fault."""
+    header = None
+    entries = []
+    footer = None
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise TranscriptFormatError("empty transcript")
-    # Each line becomes a MoveRecord when it has the fast move form, else
-    # its JSON value.
-    objs = []
-    loaded = []         # (lineno, line, value) of each line read as JSON
     for lineno, ln in enumerate(lines, start=1):
         m = _match_move_line(ln)
         if m is not None:
             f, index, kind, player, rnd, t = m.groups()
-            objs.append(MoveRecord(int(index), int(rnd), player, kind,
-                                   None if f == "null" else int(f),
-                                   None if t == "null" else int(t)))
-            continue
-        try:
-            obj = json.loads(ln)
-        except ValueError as exc:
-            # A JSONDecodeError, or an integer past Python's digit limit.
-            raise TranscriptFormatError(f"line {lineno} is not JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise TranscriptFormatError(f"line {lineno} nests too deeply") from exc
-        objs.append(obj)
-        loaded.append((lineno, ln, obj))
-    head = objs[0]
-    if not isinstance(head, dict) or head.get("record") != "header":
-        raise TranscriptFormatError("first line is not a header record")
-    if head.get("format") != FORMAT:
-        raise TranscriptFormatError(
-            f"unknown transcript format {head.get('format')!r}, expected {FORMAT!r}")
-    try:
-        header = Header.from_json(head)
-    except KeyError as exc:
-        raise TranscriptFormatError(f"header is missing field {exc}") from exc
-
-    entries = []
-    footer = None
-    for lineno, obj in enumerate(objs[1:], start=2):
-        fast = type(obj) is MoveRecord
-        if fast:
+            value = MoveRecord(int(index), int(rnd), player, kind,
+                               None if f == "null" else int(f),
+                               None if t == "null" else int(t))
             record = "move"
         else:
-            record = obj.get("record") if isinstance(obj, dict) else None
-        if record == "move":
+            try:
+                value = json.loads(ln)
+            except ValueError as exc:
+                # A JSONDecodeError, or an integer past Python's digit limit.
+                raise TranscriptFormatError(
+                    f"line {lineno} is not JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise TranscriptFormatError(f"line {lineno} nests too deeply") from exc
+            record = value.get("record") if isinstance(value, dict) else None
+        if lineno == 1:
+            header = Header.from_json(value)
+        elif record == "move":
             if footer is not None:
                 raise TranscriptFormatError(f"line {lineno}: move record after footer")
-            if not fast:
-                try:
-                    obj = MoveRecord.from_json(obj)
-                except KeyError as exc:
-                    raise TranscriptFormatError(
-                        f"line {lineno}: move record missing field {exc}") from exc
-                except TranscriptFormatError as exc:
-                    raise TranscriptFormatError(f"line {lineno}: {exc}") from exc
-            entries.append(obj)
+            entry = value if m is not None else _record(
+                value, lineno, "move record", MoveRecord.from_json)
+            i = len(entries)
+            if entry.index != i:
+                raise TranscriptFormatError(
+                    f"entry indices must be 0,1,2,...; entry {i} has index {entry.index}")
+            if i and entry.round < entries[-1].round:
+                raise TranscriptFormatError(
+                    f"entry {i}: round {entry.round} decreases from {entries[-1].round}")
+            entries.append(entry)
         elif record == "footer":
             if footer is not None:
                 raise TranscriptFormatError(f"line {lineno}: duplicate footer")
-            try:
-                footer = Footer.from_json(obj)
-            except KeyError as exc:
-                raise TranscriptFormatError(
-                    f"line {lineno}: footer missing field {exc}") from exc
-            except TranscriptFormatError as exc:
-                raise TranscriptFormatError(f"line {lineno}: {exc}") from exc
+            footer = _record(value, lineno, "footer", Footer.from_json)
         else:
             raise TranscriptFormatError(f"line {lineno}: unknown record {record!r}")
-
-    for i, e in enumerate(entries):
-        if e.index != i:
-            raise TranscriptFormatError(
-                f"entry indices must be 0,1,2,...; entry {i} has index {e.index}")
-        if i and e.round < entries[i - 1].round:
-            raise TranscriptFormatError(
-                f"entry {i}: round {e.round} decreases from {entries[i - 1].round}")
-    # Last, so that a line that breaks a check above keeps its error.
-    for lineno, ln, obj in loaded:
-        try:
-            again = canonical(obj)
-        except RecursionError as exc:
-            raise TranscriptFormatError(f"line {lineno} nests too deeply") from exc
-        if again != ln:
-            raise TranscriptFormatError(
-                f"line {lineno} is not canonical JSON (sorted keys, no "
-                f"spaces, ASCII); expected {again[:80]!r}")
+        # A line of the fast move form is canonical by construction.
+        if m is None:
+            try:
+                again = canonical(value)
+            except RecursionError as exc:
+                raise TranscriptFormatError(f"line {lineno} nests too deeply") from exc
+            if again != ln:
+                raise TranscriptFormatError(
+                    f"line {lineno} is not canonical JSON (sorted keys, no "
+                    f"spaces, ASCII); expected {again[:80]!r}")
+    if header is None:
+        raise TranscriptFormatError("empty transcript")
     return Transcript(header=header, entries=entries, footer=footer)
 
 

@@ -300,7 +300,6 @@ class TestDegrees:
         assert degree_b(state, 1, {0}) == 1
         assert degree_b(state, 1, {4, 5}) == 0
         assert degree_m(state, 3) == 2
-        assert degree_m(state, 3, {4}) == 1
         assert degree_b(state, 5) == 0
 
     def test_restrict_excludes_self(self):

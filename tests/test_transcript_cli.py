@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,24 @@ def _mutate_line(text: str, lineno: int, fn) -> str:
 
 
 _DROP = object()  # a change that deletes its key
+
+
+def _drop_round(line: str) -> str:
+    obj = json.loads(line)
+    del obj["round"]
+    return canonical(obj)
+
+
+# Faults for the first-bad-line test, each a change to one line of a
+# transcript; "header n" applies to the header, the rest to a move line.
+_FAULTS = {
+    "not JSON": lambda line: "{oops",
+    "space": lambda line: line.replace(":", ": ", 1),
+    "note": lambda line: line.replace('"record":"move"', '"record":"note"'),
+    "no round": _drop_round,
+    "player 5": lambda line: re.sub('"player":"[a-z]+"', '"player":5', line),
+    "header n": lambda line: line.replace('"n":6,', '"n":"6",'),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +164,27 @@ class TestTranscriptFormat:
         with pytest.raises(TranscriptFormatError, match="missing field"):
             parse_transcript(bad)
 
+    @pytest.mark.parametrize("first", sorted(_FAULTS))
+    @pytest.mark.parametrize("second", sorted(set(_FAULTS) - {"header n"}))
+    def test_first_bad_line_is_reported(self, first, second):
+        # Line i's fault is reported whatever fault a later line j holds.
+        lines = _game(n=6, seed=1).transcript.dumps().splitlines()
+        assert len(lines) > 6
+        i = 0 if first == "header n" else 2
+        j = 4
+        alone = list(lines)
+        alone[i] = _FAULTS[first](lines[i])
+        with pytest.raises(TranscriptFormatError) as own:
+            parse_transcript("\n".join(alone) + "\n")
+        both = list(alone)
+        both[j] = _FAULTS[second](lines[j])
+        assert alone[i] != lines[i] and both[j] != lines[j]
+        with pytest.raises(TranscriptFormatError) as reported:
+            parse_transcript("\n".join(both) + "\n")
+        assert str(reported.value) == str(own.value)
+        if i:
+            assert str(own.value).startswith(f"line {i + 1}")
+
 
 _HEADER = _game(n=6, seed=1).transcript.header
 _INT = st.one_of(st.integers(), st.sampled_from([0, 10**9 - 1, 10**9]))
@@ -168,7 +208,8 @@ class TestMoveCodec:
     @given(fields=st.tuples(_INT, _INT, _PLAYER, _KIND, _VERTEX, _VERTEX))
     def test_written_line_is_canonical(self, fields):
         record = MoveRecord(*fields)
-        line = Transcript(header=_HEADER, entries=[record]).to_lines()[1]
+        line = (Transcript(header=_HEADER, entries=[record])
+                .dumps().splitlines()[1])
         assert line == canonical(record.to_json())
 
     @settings(derandomize=True, max_examples=300)
@@ -801,6 +842,13 @@ class TestExitCodes:
         assert cli.main(["verify", "--n", "20", "--games", "-2"]) == 4
         captured = capsys.readouterr()
         assert "error[usage]: --games must be at least 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_node_limit_below_one_exits_4_as_usage(self, limit, capsys):
+        assert cli.main(["solve", "--n", "3", "--node-limit", limit]) == 4
+        captured = capsys.readouterr()
+        assert "error[usage]: --node-limit must be at least 1" in captured.err
         assert captured.out == ""
 
     def test_int_past_the_digit_limit_exits_4_as_format(self, tmp_path,
