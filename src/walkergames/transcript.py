@@ -235,7 +235,8 @@ def write_transcript(path: str, transcript: Transcript) -> None:
 
 
 def _record(obj, lineno: int, what: str, from_json):
-    """``from_json(obj)``, with a fault in a field named for line ``lineno``."""
+    """``from_json(obj)``; a missing or ill-typed field is a format error
+    on line ``lineno``."""
     try:
         return from_json(obj)
     except KeyError as exc:

@@ -182,8 +182,8 @@ class TestTranscriptFormat:
         with pytest.raises(TranscriptFormatError) as reported:
             parse_transcript("\n".join(both) + "\n")
         assert str(reported.value) == str(own.value)
-        if i:
-            assert str(own.value).startswith(f"line {i + 1}")
+        assert str(own.value).startswith(
+            f"line {i + 1}" if i else "header n must be an integer, got '6'")
 
 
 _HEADER = _game(n=6, seed=1).transcript.header
