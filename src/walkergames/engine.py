@@ -41,6 +41,18 @@ Conventions
   Breaker edge, kept by ``apply_move`` so that no reader rebuilds it: a
   Breaker claim adds its unvisited ends, and a Maker claim removes the
   ends it visits.
+* ``untouched_low`` is a cursor for the lowest untouched vertex, one
+  that is unvisited and free of Breaker edges. No vertex below the
+  cursor is untouched, and a vertex that loses that status never
+  regains it, so ``apply_move`` only moves the cursor up, at amortized
+  constant cost per move. From ``new_game`` on it is exactly the lowest
+  untouched vertex, or n when none is left. Its default of 0 is a lazy
+  start for a state built field by field: ``lowest_untouched`` reads on
+  from the cursor and writes nothing, so a policy leaves the state as
+  it was.
+* The Enum members are bound once as module globals (``_MAKER``,
+  ``_PASS`` and so on), since on CPython 3.11 a read of ``Player.MAKER``
+  costs several times a global's, and every move makes several.
 * ``round`` counts completed (first player, second player) pairs;
   Maker moves are tallied separately because the win bounds are stated
   in Maker moves.
@@ -67,12 +79,12 @@ class Player(Enum):
 
     @property
     def other(self) -> "Player":
-        return Player.BREAKER if self is Player.MAKER else Player.MAKER
+        return _BREAKER if self is _MAKER else _MAKER
 
     @property
     def owns(self) -> int:
         """The edge code of the edges this player claims."""
-        return MAKER_OWNED if self is Player.MAKER else BREAKER_OWNED
+        return MAKER_OWNED if self is _MAKER else BREAKER_OWNED
 
 
 class MoveKind(str, Enum):
@@ -80,6 +92,11 @@ class MoveKind(str, Enum):
     CLAIM = "claim"        # claim a free edge incident to the current position
     TRAVERSE = "traverse"  # walk along an own edge, claiming nothing
     PASS = "pass"          # only when no claim or traversal exists
+
+
+_MAKER, _BREAKER = Player.MAKER, Player.BREAKER
+_PLACE, _CLAIM = MoveKind.PLACE, MoveKind.CLAIM
+_TRAVERSE, _PASS = MoveKind.TRAVERSE, MoveKind.PASS
 
 
 class IllegalMoveError(ValueError):
@@ -101,7 +118,7 @@ class Bias(NamedTuple):
     breaker: int
 
     def per_turn(self, player: Player) -> int:
-        return self.maker if player is Player.MAKER else self.breaker
+        return self.maker if player is _MAKER else self.breaker
 
 
 class Move(NamedTuple):
@@ -111,19 +128,19 @@ class Move(NamedTuple):
 
     @staticmethod
     def place(start: int, target: int) -> "Move":
-        return Move(MoveKind.PLACE, start, target)
+        return Move(_PLACE, start, target)
 
     @staticmethod
     def claim(target: int) -> "Move":
-        return Move(MoveKind.CLAIM, None, target)
+        return Move(_CLAIM, None, target)
 
     @staticmethod
     def traverse(target: int) -> "Move":
-        return Move(MoveKind.TRAVERSE, None, target)
+        return Move(_TRAVERSE, None, target)
 
     @staticmethod
     def pass_() -> "Move":
-        return Move(MoveKind.PASS)
+        return Move(_PASS)
 
     def __str__(self) -> str:
         if self.kind is MoveKind.PLACE:
@@ -162,6 +179,7 @@ class GameState:
     maker_moves: int        # non-pass Maker moves so far
     breaker_moves: int
     passes: int
+    untouched_low: int = 0  # no vertex below it is untouched; see above
 
     def owner(self, a: int, b: int) -> int:
         """The code of edge {a, b}. A loop is no edge: ``owner(v, v)``
@@ -174,7 +192,7 @@ class GameState:
         return self.rows[a][b] == FREE
 
     def position(self, player: Player) -> Optional[int]:
-        return self.maker_pos if player is Player.MAKER else self.breaker_pos
+        return self.maker_pos if player is _MAKER else self.breaker_pos
 
     def copy(self) -> "GameState":
         """An independent state: fresh rows, sets and lists."""
@@ -255,10 +273,10 @@ def _move_groups(state: GameState, player: Player):
         raise IllegalMoveError("wrong-player", f"{player.value} is not to move")
     pos = state.position(player)
     if pos is None:
-        return ((MoveKind.PLACE, s, row, FREE) for s, row in enumerate(state.rows))
+        return ((_PLACE, s, row, FREE) for s, row in enumerate(state.rows))
     row = state.rows[pos]
-    return ((MoveKind.CLAIM, None, row, FREE),
-            (MoveKind.TRAVERSE, None, row, player.owns))
+    return ((_CLAIM, None, row, FREE),
+            (_TRAVERSE, None, row, player.owns))
 
 
 def legal_moves(state: GameState, player: Player) -> list:
@@ -318,33 +336,35 @@ def check_move(state: GameState, player: Player, move: Move) -> None:
     """
     if player is not state.to_move:
         raise IllegalMoveError("wrong-player", f"{player.value} is not to move")
-    if move.kind is MoveKind.PASS:
+    kind = move.kind
+    if kind is _PASS:
         if count_moves(state, player):
             raise IllegalMoveError("pass-with-moves", "pass while claims or traversals exist")
         return
     pos = state.position(player)
-    placing = move.kind is MoveKind.PLACE
+    placing = kind is _PLACE
     if placing and pos is not None:
         raise IllegalMoveError("wrong-kind", "placement after the walk has started")
     if not placing and pos is None:
-        raise IllegalMoveError("wrong-kind", f"{move.kind.value} before placement")
+        raise IllegalMoveError("wrong-kind", f"{kind.value} before placement")
     origin = move.start if placing else pos
     if placing:
         _check_vertex(state, origin, "start")
-    _check_vertex(state, move.target, "target")
-    if move.target == origin:
-        raise IllegalMoveError("loop", f"{move.kind.value} loop at {origin}")
+    target = move.target
+    _check_vertex(state, target, "target")
+    if target == origin:
+        raise IllegalMoveError("loop", f"{kind.value} loop at {origin}")
     # A traversal needs an own edge; a placement or claim a free one.
     own = player.owns
-    o = state.owner(origin, move.target)
-    if o != (own if move.kind is MoveKind.TRAVERSE else FREE):
+    o = state.rows[origin][target]
+    if o != (own if kind is _TRAVERSE else FREE):
         if o == FREE:
             rule, why = "unclaimed-edge", "is not an own edge"
         elif o == own:
             rule, why = "own-edge", "is already owned"
         else:
             rule, why = "opponent-edge", "is the opponent's"
-        raise IllegalMoveError(rule, f"edge {origin}-{move.target} {why}")
+        raise IllegalMoveError(rule, f"edge {origin}-{target} {why}")
 
 
 def apply_move(state: GameState, player: Player, move: Move) -> None:
@@ -352,29 +372,32 @@ def apply_move(state: GameState, player: Player, move: Move) -> None:
     in place. A rejected move leaves the state untouched."""
     check_move(state, player, move)
     kind = move.kind
-    maker = player is Player.MAKER
-    if kind is MoveKind.PASS:
+    maker = player is _MAKER
+    if kind is _PASS:
         state.passes += 1
     else:
         target = move.target
-        if kind is not MoveKind.TRAVERSE:
-            origin = move.start if kind is MoveKind.PLACE else state.position(player)
+        if kind is not _TRAVERSE:
+            origin = move.start if kind is _PLACE else state.position(player)
             own = player.owns
             rows = state.rows
             rows[origin][target] = own
             rows[target][origin] = own
             claimed = (origin, target) if origin < target else (target, origin)
+            unvisited = state.unvisited
             tainted = state.tainted
             if maker:
-                state.unvisited.difference_update(claimed)
+                unvisited.difference_update(claimed)
                 tainted.difference_update(claimed)
                 state.maker_edges.append(claimed)
             else:
-                unvisited = state.unvisited
                 for v in claimed:
                     if v in unvisited:
                         tainted.add(v)
                 state.breaker_edges.append(claimed)
+            # Only a claim touches vertices, so only a claim moves the
+            # cursor, and only up.
+            state.untouched_low = lowest_untouched(state)
         if maker:
             state.maker_pos = target
             state.maker_moves += 1
@@ -384,11 +407,22 @@ def apply_move(state: GameState, player: Player, move: Move) -> None:
 
     state.moves_left_in_turn -= 1
     if state.moves_left_in_turn == 0:
-        to_move = player.other
+        to_move = _BREAKER if maker else _MAKER
         state.to_move = to_move
         state.moves_left_in_turn = state.bias.per_turn(to_move)
         if to_move is state.first_player:
             state.round += 1
+
+
+def lowest_untouched(state: GameState) -> int:
+    """The lowest vertex that is unvisited and free of Breaker edges, or
+    n when there is none. Reads on from the state's cursor, which
+    ``apply_move`` keeps exact, and writes nothing."""
+    low, n = state.untouched_low, state.n
+    unvisited, tainted = state.unvisited, state.tainted
+    while low < n and (low not in unvisited or low in tainted):
+        low += 1
+    return low
 
 
 # ---------------------------------------------------------------------------

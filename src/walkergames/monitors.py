@@ -191,6 +191,7 @@ class MonitorSuite:
         self.pass_entries: list = []
         self._prev_round_breaker_end: Optional[int] = None
         self._pursuit_limit = header.n - spec.pursuit_left
+        self._violations = 0  # over all checks, so has_violations is O(1)
 
     # -- event handling ----------------------------------------------------
 
@@ -223,8 +224,8 @@ class MonitorSuite:
             if self.max_first_visit_degree is None or d > self.max_first_visit_degree:
                 self.max_first_visit_degree = d
             if d > FIRST_VISIT_DEGREE_LIMIT:
-                stats.violate(
-                    round_1b,
+                self._violate(
+                    stats, round_1b,
                     f"vertex {v} first visited with opponent degree {d}")
 
         stats = self.checks["path_shape"]
@@ -233,13 +234,13 @@ class MonitorSuite:
             return
         stats.hit()
         if len(state.maker_edges) != state.maker_moves:
-            stats.violate(
-                round_1b,
+            self._violate(
+                stats, round_1b,
                 f"move {state.maker_moves} left {len(state.maker_edges)} "
                 "claimed edges, not one per move")
         elif state.n - len(state.unvisited) != state.maker_moves + 1:
-            stats.violate(
-                round_1b,
+            self._violate(
+                stats, round_1b,
                 f"claimed edges after move {state.maker_moves} do not form "
                 "a simple path")
 
@@ -255,13 +256,13 @@ class MonitorSuite:
         w = state.maker_pos
         d = degree_b(state, w, state.tainted)
         if d > 2:
-            stats.violate(
-                round_before + 1,
+            self._violate(
+                stats, round_before + 1,
                 f"degree {d} from position {w} into the unvisited set "
                 "before the reply")
         elif d == 2 and self._prev_round_breaker_end != w:
-            stats.violate(
-                round_before + 1,
+            self._violate(
+                stats, round_before + 1,
                 f"degree 2 from position {w} but the previous round ended "
                 f"with the opponent at {self._prev_round_breaker_end}")
 
@@ -273,8 +274,8 @@ class MonitorSuite:
             stats.hit()
             bad = breaker_edges_all_touch_maker(state)
             if bad is not None:
-                stats.violate(
-                    round_1b,
+                self._violate(
+                    stats, round_1b,
                     f"opponent edge {bad} has both endpoints unvisited")
         else:
             stats.miss()
@@ -284,8 +285,8 @@ class MonitorSuite:
             stats.hit()
             d = position_unvisited_degree(state)
             if d > 1:
-                stats.violate(
-                    round_1b,
+                self._violate(
+                    stats, round_1b,
                     f"degree {d} from position {state.maker_pos} into the "
                     "unvisited set at round end")
         else:
@@ -296,8 +297,8 @@ class MonitorSuite:
             stats.hit()
             t = tainted_unvisited_count(state)
             if t > 2:
-                stats.violate(
-                    round_1b,
+                self._violate(
+                    stats, round_1b,
                     f"{t} unvisited vertices touch opponent edges")
         else:
             stats.miss()
@@ -306,8 +307,12 @@ class MonitorSuite:
 
     # -- results -----------------------------------------------------------
 
+    def _violate(self, stats: CheckStats, round_index: int, detail: str):
+        stats.violate(round_index, detail)
+        self._violations += 1
+
     def has_violations(self) -> bool:
-        return any(s.violations for s in self.checks.values())
+        return self._violations > 0
 
     def report(self) -> Optional[dict]:
         """The check results, or None when monitoring is off."""

@@ -47,6 +47,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import (
+    _MAKER,
+    _PASS,
+    _PLACE,
     GOALS,
     HAMILTON_SEARCH_LIMIT,
     Bias,
@@ -174,20 +177,21 @@ def _record_fields(state: GameState, player: Player, move: Move) -> tuple:
     """The round, player, from and to that the record of ``move`` holds,
     read from the state before it.
 
-    Replay calls this once per move, so the player's name is read from
-    ``_value_``, the plain attribute behind the slower ``value`` property.
+    Play and replay call this once per move, so the player's name is
+    read from ``_value_``, the plain attribute behind the slower
+    ``value`` property.
     """
     kind = move.kind
     return (state.round, player._value_,
-            move.start if kind is MoveKind.PLACE else state.position(player),
-            None if kind is MoveKind.PASS else move.target)
+            move.start if kind is _PLACE else state.position(player),
+            None if kind is _PASS else move.target)
 
 
 def _record_for(entries: list, state: GameState, player: Player,
                 move: Move) -> MoveRecord:
     """The record of ``move``, read from the state before it."""
     rnd, name, origin, target = _record_fields(state, player, move)
-    return MoveRecord(len(entries), rnd, name, move.kind.value, origin,
+    return MoveRecord(len(entries), rnd, name, move.kind._value_, origin,
                       target)
 
 
@@ -231,7 +235,7 @@ def run_game(config: GameConfig,
 
     while True:
         player = state.to_move
-        policy = maker if player is Player.MAKER else breaker
+        policy = maker if player is _MAKER else breaker
         try:
             move = policy(state)
         except StrategyAssertionError as exc:
@@ -276,7 +280,7 @@ def _move_from_record(rec: MoveRecord) -> Move:
     """The move ``rec`` records. A pass keeps the recorded ``to``, which
     replay then finds differs from the None that play records."""
     kind = _KIND_OF[rec.kind]
-    return Move(kind, rec.from_vertex if kind is MoveKind.PLACE else None,
+    return Move(kind, rec.from_vertex if kind is _PLACE else None,
                 rec.to_vertex)
 
 

@@ -65,6 +65,7 @@ from .engine import (
     count_moves,
     degree_b,
     legal_moves,
+    lowest_untouched,
     nth_move,
     snapshot,
 )
@@ -160,14 +161,17 @@ def _relocate(state: GameState, mem: StrategyMemory) -> Move:
 
 
 def _best_unvisited_target(state: GameState, v: int) -> Optional[int]:
-    """The unvisited u != v with a free edge vu, of highest opponent
-    degree, lowest index on ties; None when there is none.
+    """The unvisited u with a free edge vu, of highest opponent degree,
+    lowest index on ties; None when there is none. ``v`` is a placed
+    walker's position, which is touched: the Maker's is visited, and
+    the Breaker's ends one of his edges.
 
     Only the tainted vertices, unvisited and Breaker-touched, need a
     look. An unvisited u has no Maker edge, so vu is free unless the
     Breaker owns it, which makes u tainted. Every other unvisited vertex
-    has opponent degree 0 and a free edge from v, and loses to any free
-    tainted one.
+    is untouched: it has opponent degree 0 and a free edge from v, and
+    loses to any free tainted one. The lowest of those is the engine's
+    cursor, read in constant time; since v is touched, it is never v.
     """
     tainted = state.tainted
     best = None
@@ -178,8 +182,8 @@ def _best_unvisited_target(state: GameState, v: int) -> Optional[int]:
                 best = key
     if best is not None:
         return best[1]
-    rest = state.unvisited - tainted - {v}
-    return min(rest) if rest else None
+    low = lowest_untouched(state)
+    return low if low < state.n else None
 
 
 def chase_move(state: GameState, mem: StrategyMemory) -> Move:
@@ -195,8 +199,9 @@ def chase_move(state: GameState, mem: StrategyMemory) -> Move:
     looks up the pairs of tainted vertices, unvisited and
     Breaker-touched, in the edge rows. Priority 2 looks only at the
     tainted vertices, which pursuit keeps to at most two, and otherwise
-    takes the lowest untouched unvisited vertex (see
-    ``_best_unvisited_target``). With three or more vertices unvisited,
+    takes the lowest untouched vertex from the engine's cursor (see
+    ``_best_unvisited_target``). So a pursuit move's work does not grow
+    with n. With three or more vertices unvisited,
     having no free edge into them contradicts the pursuit guarantees
     and raises.
     """
@@ -533,7 +538,8 @@ def greedy_breaker_move(state: GameState) -> Move:
 
     The placement is the first legal one. An unvisited target is the
     one ``_best_unvisited_target`` picks, found from the tainted
-    vertices alone. Only when none exists does the policy read its
+    vertices and the engine's untouched-vertex cursor, so it takes no
+    scan of the board. Only when none exists does the policy read its
     position's whole edge row: a claim to a visited vertex, then the
     lowest traversal, which always exists, since the Breaker owns the
     edge he arrived by. That fallback reads the row itself, not

@@ -1,6 +1,7 @@
 """Rules engine tests: legality, bookkeeping, goal predicates."""
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from walkergames.engine import (
     FREE,
     _SELF,
     Bias,
+    GameState,
     MAX_N,
     IllegalMoveError,
     MalformedCertificateError,
@@ -39,6 +41,7 @@ from walkergames.engine import (
     edge_index,
     hamilton_won,
     legal_moves,
+    lowest_untouched,
     new_game,
     nth_move,
     snapshot,
@@ -205,13 +208,10 @@ class TestApplyMove:
 
 
 def _frozen(state):
-    """Every row byte, set, list and counter of a state, as values."""
-    return ([bytes(row) for row in state.rows], state.maker_pos,
-            state.breaker_pos, set(state.unvisited), set(state.tainted),
-            list(state.maker_edges),
-            list(state.breaker_edges), state.round, state.to_move,
-            state.moves_left_in_turn, state.maker_moves, state.breaker_moves,
-            state.passes)
+    """Every field of a state, by its name in ``GameState.__slots__``, as
+    a value that later writes to the state leave as it is."""
+    return {name: copy.deepcopy(getattr(state, name))
+            for name in GameState.__slots__}
 
 
 class TestInPlaceContract:
@@ -381,6 +381,32 @@ class TestRecomputation:
             dm, db = recomputed_degrees(state)
             assert [degree_m(state, v) for v in range(state.n)] == dm
             assert [degree_b(state, v) for v in range(state.n)] == db
+
+    @pytest.mark.parametrize("first", list(Player))
+    @pytest.mark.parametrize("bias", BIASES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cursor_is_the_lowest_untouched_vertex(self, seed, bias, first):
+        # Each playout state is a copy, so copy() is checked with it.
+        for state in random_playout_states(8, seed, 40, bias, first):
+            for s in (state, state.copy()):
+                expected = min(s.unvisited - s.tainted, default=s.n)
+                assert s.untouched_low == expected
+                assert lowest_untouched(s) == expected
+
+    def test_cursor_reads_on_from_a_lazy_start(self):
+        # A state built field by field starts its cursor at 0; the query
+        # reads on from there and leaves the field as it was.
+        state = build_state(8, maker_edges=[(0, 1)],
+                            breaker_edges=[(2, 5)], maker_pos=1,
+                            breaker_pos=5)
+        assert state.untouched_low == 0
+        assert lowest_untouched(state) == 3
+        assert state.untouched_low == 0
+        apply_move(state, Player.MAKER, Move.claim(3))
+        assert state.untouched_low == 4
+        full = build_state(4, maker_edges=[(0, 1), (1, 2), (2, 3)],
+                           maker_pos=3)
+        assert lowest_untouched(full) == 4
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 9),

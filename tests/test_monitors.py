@@ -412,6 +412,55 @@ class TestIncrementalPathShape:
         assert shape_breaks > 0
 
 
+class TestViolationCount:
+    """The suite keeps a running violation count, so ``has_violations``
+    reads one number; after every move it must agree with the checks."""
+
+    GAMES = [
+        # (label, config, a factory for the Maker's policy, or None for
+        # the configured one)
+        ("clean", GameConfig(n=24, maker="connectivity", breaker="greedy",
+                             seed=11), None),
+        ("deviant", GameConfig(n=20, maker="chase", breaker="random",
+                               seed=4, move_cap=30),
+         traversing_deviant_maker),
+        # Random play judged as pursuit breaks several checks.
+        ("random-as-chase", GameConfig(n=20, maker="chase",
+                                       breaker="random", seed=3),
+         lambda: make_policy(Player.MAKER, "random", 3)),
+    ]
+
+    @pytest.mark.parametrize("label,config,maker", GAMES,
+                             ids=[g[0] for g in GAMES])
+    def test_count_agrees_with_the_checks_after_every_move(
+            self, label, config, maker, monkeypatch):
+        real = MonitorSuite.observe
+        seen = []
+
+        def observe(suite, record, state):
+            real(suite, record, state)
+            seen.append((suite.has_violations(),
+                         any(s.violations for s in suite.checks.values())))
+
+        monkeypatch.setattr(MonitorSuite, "observe", observe)
+        policies = None
+        if maker is not None:
+            policies = (maker(), make_policy(Player.BREAKER, config.breaker,
+                                             config.seed))
+        result = run_game(config, policies=policies)
+        assert seen and all(fast == full for fast, full in seen)
+        violated = {fast for fast, _ in seen}
+        if label == "clean":
+            assert violated == {False}
+            assert result.monitor_report["clean"] is True
+        else:
+            assert violated == {False, True}
+            assert result.monitor_report["clean"] is False
+            kinds = sum(1 for c in result.monitor_report["checks"].values()
+                        if c["violations"])
+            assert kinds >= (2 if label == "random-as-chase" else 1)
+
+
 class TestRunnerIntegration:
     def test_honest_games_are_clean_and_exercised(self):
         for maker, goal in (("connectivity", "connectivity"),
