@@ -15,8 +15,8 @@ solver and the CLI all build on it.
 Legal moves can be listed (``legal_moves``), counted (``count_moves``)
 or taken one at a time by index (``nth_move``), all in one order. Play
 counts and indexes, which reads one edge row and builds one ``Move``;
-the list serves the tests, the Maker's blocked-endgame ranking and the
-random policy's placement draw.
+the random policy draws every move, placements included, that way. The
+list serves the tests and the Maker's blocked-endgame ranking.
 
 Conventions
 -----------

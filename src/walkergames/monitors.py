@@ -80,12 +80,6 @@ class CheckStats:
     first_violation_round: Optional[int] = None
     detail: Optional[str] = None
 
-    def hit(self):
-        self.evaluated += 1
-
-    def miss(self):
-        self.skipped += 1
-
     def violate(self, round_index: int, detail: str):
         self.violations += 1
         if self.first_violation_round is None:
@@ -217,9 +211,9 @@ class MonitorSuite:
         stats = self.checks["first_visit_degree"]
         for v in first_visited(state, kind):
             if not in_pursuit_window:
-                stats.miss()
+                stats.skipped += 1
                 continue
-            stats.hit()
+            stats.evaluated += 1
             d = degree_b(state, v)
             if self.max_first_visit_degree is None or d > self.max_first_visit_degree:
                 self.max_first_visit_degree = d
@@ -230,9 +224,9 @@ class MonitorSuite:
 
         stats = self.checks["path_shape"]
         if not in_pursuit_window:
-            stats.miss()
+            stats.skipped += 1
             return
-        stats.hit()
+        stats.evaluated += 1
         if len(state.maker_edges) != state.maker_moves:
             self._violate(
                 stats, round_1b,
@@ -250,9 +244,9 @@ class MonitorSuite:
                 or len(state.unvisited) < 2
                 or state.maker_moves > self._pursuit_limit
                 or round_before < 1):
-            stats.miss()
+            stats.skipped += 1
             return
-        stats.hit()
+        stats.evaluated += 1
         w = state.maker_pos
         d = degree_b(state, w, state.tainted)
         if d > 2:
@@ -271,18 +265,18 @@ class MonitorSuite:
 
         stats = self.checks["breaker_edges_touch_maker"]
         if gate:
-            stats.hit()
+            stats.evaluated += 1
             bad = breaker_edges_all_touch_maker(state)
             if bad is not None:
                 self._violate(
                     stats, round_1b,
                     f"opponent edge {bad} has both endpoints unvisited")
         else:
-            stats.miss()
+            stats.skipped += 1
 
         stats = self.checks["position_unvisited_degree"]
         if gate and state.maker_pos is not None:
-            stats.hit()
+            stats.evaluated += 1
             d = position_unvisited_degree(state)
             if d > 1:
                 self._violate(
@@ -290,18 +284,18 @@ class MonitorSuite:
                     f"degree {d} from position {state.maker_pos} into the "
                     "unvisited set at round end")
         else:
-            stats.miss()
+            stats.skipped += 1
 
         stats = self.checks["tainted_unvisited_limit"]
         if gate:
-            stats.hit()
+            stats.evaluated += 1
             t = tainted_unvisited_count(state)
             if t > 2:
                 self._violate(
                     stats, round_1b,
                     f"{t} unvisited vertices touch opponent edges")
         else:
-            stats.miss()
+            stats.skipped += 1
 
         self._prev_round_breaker_end = state.breaker_pos
 

@@ -36,9 +36,9 @@ Breaker policies
   accepts it.
 
 Policies take a fallback or first legal move with
-``nth_move(state, player, 0)`` and the random policy draws a placed
-walker's move by count and index, so only the placement draw and
-``_relocate``, which ranks every move, list ``legal_moves``.
+``nth_move(state, player, 0)`` and the random policy draws every move,
+placements included, by count and index, so only ``_relocate``, which
+ranks every move, lists ``legal_moves``.
 
 A policy raises ``StrategyAssertionError`` only when a condition its
 design guarantees has been violated; for the pursuit-based Maker
@@ -517,19 +517,14 @@ def hamilton_maker_move(state: GameState, mem: StrategyMemory) -> Move:
 def random_walker_move(state: GameState, rng: random.Random) -> Move:
     """Uniform choice over the legal moves, from the given generator.
 
-    A placed walker counts its moves and takes the k-th, for k drawn by
+    Every move, a placement included, is drawn by count and index: the
+    walker counts its moves and takes the k-th, for k drawn by
     ``rng.randrange(count)``. That is the one draw ``rng.choice`` makes
     on a list of that length, so the move and the generator's state are
     those of ``rng.choice(legal_moves(...))``. A walker that can only
     pass still draws, from ``randrange(1)``.
     """
     player = state.to_move
-    if state.position(player) is None:
-        # The placement draw still lists its moves. Without these lists
-        # the benchmark's peak_rss_mb on sweep reads the harness's own
-        # uncollected set-up garbage and rises; see ROADMAP item 2 (the
-        # memory metric) and item 3 (cutting this list).
-        return rng.choice(legal_moves(state, player))
     return nth_move(state, player, rng.randrange(count_moves(state, player) or 1))
 
 
@@ -840,7 +835,8 @@ def spec_of(player: Player, name: str) -> StrategySpec:
 def make_policy(player: Player, name: str, seed: int,
                 script_text: Optional[str] = None) -> Policy:
     """Construct a policy by id. Raises ValueError for unknown ids and
-    ScriptError for scripted policies with a bad or missing script."""
+    ScriptError for a scripted policy with a bad or missing script, or
+    for a script given to a policy that is not scripted."""
     spec = spec_of(player, name)
     mem = StrategyMemory(rng_seed=_rng_seed_for(player, seed),
                          designated=dict(spec.preset))
@@ -849,4 +845,6 @@ def make_policy(player: Player, name: str, seed: int,
             raise ScriptError("scripted strategy needs a script")
         mem.designated["script"] = parse_script(script_text)
         mem.designated["cursor"] = 0
+    elif script_text is not None:
+        raise ScriptError(f"{player.value} strategy {name!r} takes no script")
     return Policy(name=name, player=player, memory=mem, _fn=spec.move)

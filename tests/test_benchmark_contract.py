@@ -105,6 +105,22 @@ def test_max_n_game_matches_frozen_digest_and_replays_clean():
     replay_transcript(parse_transcript(text))
 
 
+# The seed-0 game of the CLI's default pairing, connectivity vs random,
+# at MAX_N. The golden corpus stops at n=100; here the random placement
+# draws from n(n-1) placements, and ``nth_move`` skips whole starts by
+# their counts to find it.
+MAX_N_RANDOM_DIGEST = (
+    "fbc857575fb029073d616fd5018e802e8ff9a9b9599c1080e029789410103517")
+
+
+def test_max_n_random_game_matches_frozen_digest_and_replays_clean():
+    config = GameConfig(n=MAX_N, maker="connectivity", goal="connectivity",
+                        breaker="random", seed=0)
+    text = run_game(config).transcript.dumps()
+    assert _sha(text) == MAX_N_RANDOM_DIGEST
+    replay_transcript(parse_transcript(text))
+
+
 # Every Maker against every Breaker at every bias, both first players,
 # on small boards: the cases the golden corpus leaves out. Random play
 # toward the Hamilton goal has its own matrix below, which stops at

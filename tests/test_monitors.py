@@ -390,9 +390,9 @@ class TestIncrementalPathShape:
                 maker_moved = (player is Player.MAKER
                                and move.kind is not MoveKind.PASS)
                 if maker_moved and after.maker_moves > window:
-                    reference.miss()
+                    reference.skipped += 1
                 elif maker_moved:
-                    reference.hit()
+                    reference.evaluated += 1
                     traversals += move.kind is MoveKind.TRAVERSE
                     if len(after.maker_edges) != after.maker_moves:
                         reference.violate(state.round + 1, "count")

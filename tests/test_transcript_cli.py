@@ -31,7 +31,7 @@ from walkergames.runner import (
     replay_transcript,
     run_game,
 )
-from walkergames.strategies import make_policy, moves_to_script
+from walkergames.strategies import ScriptError, make_policy, moves_to_script
 from walkergames.transcript import (
     FORMAT,
     MoveRecord,
@@ -512,6 +512,22 @@ class TestScriptedGames:
                          "--out", str(tmp_path / "t.jsonl")])
         assert code == 4
         assert "error[script]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["maker", "breaker"])
+    def test_script_for_unscripted_side_exits_4(self, tmp_path, capsys,
+                                                 side):
+        path = tmp_path / "s.txt"
+        path.write_text("P 0 1\n")
+        out = tmp_path / "t.jsonl"
+        code = cli.main(["run", "--n", "20", "--maker", "connectivity",
+                         "--breaker", "random", f"--{side}-script",
+                         str(path), "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error[script]" in err and "takes no script" in err
+        assert not out.exists()
+        with pytest.raises(ScriptError, match="takes no script"):
+            _game(**{f"{side}_script": "P 0 1\n"})
 
 
 def _move_of(entry):
