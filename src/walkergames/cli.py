@@ -97,20 +97,29 @@ def _parse_int_list(text: str, flag: str) -> list:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
-def _resolve_bound(spec: str, goal: str, maker: str, n: int) -> Optional[int]:
-    if spec == "auto":
-        # Guaranteed totals exist only for the constructive strategies.
-        slack = MAKERS[maker].bounds.get(goal)
-        return None if slack is None else n + slack
-    if spec == "none":
+def _parse_bound(text: str):
+    """``--bound`` as "auto", None for none, or a positive int. The
+    parser calls it, so a bad value stops the command before any input
+    is read or output written."""
+    if text == "auto":
+        return text
+    if text == "none":
         return None
     try:
-        value = int(spec)
+        value = int(text)
     except ValueError:
-        raise UsageError(f"--bound must be auto, none, or an integer, got {spec!r}")
+        raise UsageError(f"--bound must be auto, none, or an integer, got {text!r}")
     if value < 1:
         raise UsageError("--bound must be positive")
     return value
+
+
+def _resolve_bound(bound, goal: str, maker: str, n: int) -> Optional[int]:
+    if bound == "auto":
+        # Guaranteed totals exist only for the constructive strategies.
+        slack = MAKERS[maker].bounds.get(goal)
+        return None if slack is None else n + slack
+    return bound
 
 
 def _severity(footer: Footer, bound: Optional[int]) -> int:
@@ -325,7 +334,7 @@ def _add_common_game_flags(p: argparse.ArgumentParser):
                    help="who moves first")
     p.add_argument("--move-cap", type=int, default=None,
                    help="maker move cap (default: WALKERGAMES_MOVE_CAP or 10*n)")
-    p.add_argument("--bound", default="auto",
+    p.add_argument("--bound", type=_parse_bound, default="auto",
                    help="maker move bound to enforce: auto, none, or an integer")
     p.add_argument("--no-monitors", action="store_true",
                    help="disable invariant monitors")
@@ -371,7 +380,7 @@ def build_parser() -> _Parser:
 
     p_replay = sub.add_parser("replay", help="re-execute a transcript")
     p_replay.add_argument("transcript", help="transcript path, or - for stdin")
-    p_replay.add_argument("--bound", default="none",
+    p_replay.add_argument("--bound", type=_parse_bound, default="none",
                           help="maker move bound to enforce on the replayed "
                                "game: auto, none, or an integer")
     p_replay.set_defaults(func=_cmd_replay)

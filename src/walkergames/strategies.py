@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .engine import (
@@ -74,11 +75,11 @@ from .engine import (
 class StrategyAssertionError(AssertionError):
     """A precondition the strategy's design guarantees failed at runtime."""
 
-    def __init__(self, round_index: int, expectation: str, state_snapshot: dict):
-        self.round = round_index
+    def __init__(self, state: GameState, expectation: str):
+        self.round = state.round
         self.expectation = expectation
-        self.snapshot = state_snapshot
-        super().__init__(f"round {round_index}: {expectation}")
+        self.snapshot = snapshot(state)
+        super().__init__(f"round {self.round}: {expectation}")
 
     def to_json(self) -> dict:
         return {
@@ -229,10 +230,9 @@ def chase_move(state: GameState, mem: StrategyMemory) -> Move:
 
     if len(unvisited) >= 3:
         raise StrategyAssertionError(
-            state.round,
+            state,
             "expected a free edge from the current position into the unvisited set "
-            "(pre-reply degree bound, three or more vertices unvisited)",
-            snapshot(state))
+            "(pre-reply degree bound, three or more vertices unvisited)")
     return _relocate(state, mem)
 
 
@@ -240,26 +240,20 @@ def chase_move(state: GameState, mem: StrategyMemory) -> Move:
 # Connectivity closer
 # ---------------------------------------------------------------------------
 
-def find_pivot(state: GameState, a: int, b: int, path: Sequence[int],
-               exclude: Sequence[int] = ()) -> int:
+def find_pivot(state: GameState, a: int, b: int, path: Sequence[int]) -> int:
     """Lowest-index recorded-path vertex v with both av and vb free.
 
     The splice guarantee: opponent degrees toward the path are too
     small to block every interior vertex. Raises when no vertex
     qualifies.
     """
-    blocked = set(exclude)
-    blocked.update((a, b))
     for v in sorted(set(path)):
-        if v in blocked:
-            continue
-        if state.is_free(a, v) and state.is_free(v, b):
+        if v not in (a, b) and state.is_free(a, v) and state.is_free(v, b):
             return v
     raise StrategyAssertionError(
-        state.round,
+        state,
         f"expected a path vertex with free edges to both {a} and {b} "
-        "(splice degree count)",
-        snapshot(state))
+        "(splice degree count)")
 
 
 def connectivity_maker_move(state: GameState, mem: StrategyMemory) -> Move:
@@ -289,10 +283,9 @@ def connectivity_maker_move(state: GameState, mem: StrategyMemory) -> Move:
             return Move.claim(u)
     if len(unvisited) == 3:
         raise StrategyAssertionError(
-            state.round,
+            state,
             "expected a free edge into the last three unvisited vertices "
-            "(pre-reply degree bound caps blocked targets at two)",
-            snapshot(state))
+            "(pre-reply degree bound caps blocked targets at two)")
     pivot = find_pivot(state, w, order[0], mem.path_order)
     return Move.claim(pivot)
 
@@ -339,10 +332,9 @@ def find_free_triple(state: GameState, cycle: Sequence[int],
                    for t in triple for f in forbidden):
                 return triple
     raise StrategyAssertionError(
-        state.round,
+        state,
         "expected three consecutive cycle vertices with no opponent edges "
-        "toward the splice targets (pigeonhole count)",
-        snapshot(state))
+        "toward the splice targets (pigeonhole count)")
 
 
 def _close_cycle(state: GameState, mem: StrategyMemory) -> Move:
@@ -382,18 +374,16 @@ def _ladder_move(state: GameState, mem: StrategyMemory) -> Move:
                      and state.owner(v1, u) != BREAKER_OWNED]
             if not cands:
                 raise StrategyAssertionError(
-                    state.round,
+                    state,
                     "expected an unvisited vertex reachable from the path end "
-                    "whose edge to the start vertex is unclaimed by the opponent",
-                    snapshot(state))
+                    "whose edge to the start vertex is unclaimed by the opponent")
         else:
             cands = [u for u in sorted(unvisited) if state.is_free(pos, u)]
             if not cands:
                 raise StrategyAssertionError(
-                    state.round,
+                    state,
                     "expected the cycle tail to extend into the remaining "
-                    "unvisited vertices",
-                    snapshot(state))
+                    "unvisited vertices")
         pick = min(
             cands,
             key=lambda u: (0 if state.owner(v1, u) != BREAKER_OWNED else 1,
@@ -403,10 +393,9 @@ def _ladder_move(state: GameState, mem: StrategyMemory) -> Move:
         return Move.claim(pick)
 
     raise StrategyAssertionError(
-        state.round,
+        state,
         "expected the final cycle-closing edge to the start vertex to be free "
-        "(opponent cannot both reach and claim it in one move)",
-        snapshot(state))
+        "(opponent cannot both reach and claim it in one move)")
 
 
 def _cycle_predecessor(cycle: Sequence[int], v: int) -> int:
@@ -455,10 +444,9 @@ def _absorb_move(state: GameState, mem: StrategyMemory) -> Move:
         cands = [u for u in sorted(unvisited) if state.is_free(pos, u)]
         if not cands:
             raise StrategyAssertionError(
-                state.round,
+                state,
                 "expected a free edge from the splice middle into the "
-                "remaining unvisited vertices",
-                snapshot(state))
+                "remaining unvisited vertices")
         pick = min(
             cands,
             key=lambda u: (0 if all(state.owner(u, t) != BREAKER_OWNED
@@ -477,10 +465,9 @@ def _absorb_move(state: GameState, mem: StrategyMemory) -> Move:
         closer = last
     else:
         raise StrategyAssertionError(
-            state.round,
+            state,
             "expected one of the two splice-closing edges to be free "
-            "(opponent cannot claim both in one move)",
-            snapshot(state))
+            "(opponent cannot claim both in one move)")
     at = cycle.index(middle)
     if closer == first:
         cycle.insert(at, grabbed)
@@ -514,22 +501,24 @@ def hamilton_maker_move(state: GameState, mem: StrategyMemory) -> Move:
 # Breaker policies
 # ---------------------------------------------------------------------------
 
-def random_walker_move(state: GameState, rng: random.Random) -> Move:
-    """Uniform choice over the legal moves, from the given generator.
+def random_walker_move(state: GameState, mem: StrategyMemory) -> Move:
+    """Uniform choice over the legal moves, from the memory's generator.
 
     Every move, a placement included, is drawn by count and index: the
     walker counts its moves and takes the k-th, for k drawn by
-    ``rng.randrange(count)``. That is the one draw ``rng.choice`` makes
-    on a list of that length, so the move and the generator's state are
-    those of ``rng.choice(legal_moves(...))``. A walker that can only
-    pass still draws, from ``randrange(1)``.
+    ``mem.rng.randrange(count)``. That is the one draw ``rng.choice``
+    makes on a list of that length, so the move and the generator's
+    state are those of ``mem.rng.choice(legal_moves(...))``. A walker
+    that can only pass still draws, from ``randrange(1)``.
     """
     player = state.to_move
-    return nth_move(state, player, rng.randrange(count_moves(state, player) or 1))
+    return nth_move(state, player,
+                    mem.rng.randrange(count_moves(state, player) or 1))
 
 
-def greedy_breaker_move(state: GameState) -> Move:
-    """Claim toward unvisited vertices, highest own degree first.
+def greedy_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
+    """Claim toward unvisited vertices, highest own degree first. Keeps
+    no memory: ``mem`` is taken for the policy call and ignored.
 
     The placement is the first legal one. An unvisited target is the
     one ``_best_unvisited_target`` picks, found from the tainted
@@ -553,14 +542,16 @@ def greedy_breaker_move(state: GameState) -> Move:
     return Move.traverse(row.find(BREAKER_OWNED))
 
 
-def delaying_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
+def delaying_breaker_move(state: GameState, mem: StrategyMemory,
+                          wander: Callable = random_walker_move) -> Move:
     """Stall the finish: wander, then occupy the last unvisited vertices.
 
     Designed for Maker-first play. While more than three vertices are
-    unvisited the policy wanders (seeded random, or greedy under the
-    "phase1" flag). When the Maker enters one of the last three, the
-    policy moves onto one of the two survivors; when she enters one of
-    those, it claims the edge between the final pair, forcing a detour.
+    unvisited the policy wanders: it plays ``wander``, a policy called
+    with the same (state, memory), seeded random by default. When the
+    Maker enters one of the last three, the policy moves onto one of
+    the two survivors; when she enters one of those, it claims the edge
+    between the final pair, forcing a detour.
     """
     named = mem.designated
     prev = named.get("usize")
@@ -568,13 +559,8 @@ def delaying_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
     named["usize"] = len(unvisited)
     pos = state.breaker_pos
 
-    def wander() -> Move:
-        if named.get("phase1") == "greedy":
-            return greedy_breaker_move(state)
-        return random_walker_move(state, mem.rng)
-
     if pos is None:
-        return wander()
+        return wander(state, mem)
 
     if prev == 3 and len(unvisited) == 2:
         pair = sorted(unvisited)
@@ -584,14 +570,14 @@ def delaying_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
             other = b if pos == a else a
             if state.is_free(pos, other):
                 return Move.claim(other)
-            return wander()
+            return wander(state, mem)
         for u in pair:
             if state.is_free(pos, u):
                 return Move.claim(u)
         for u in pair:
             if state.owner(pos, u) == BREAKER_OWNED:
                 return Move.traverse(u)
-        return wander()
+        return wander(state, mem)
 
     if prev == 2 and len(unvisited) == 1 and named.get("pair"):
         a, b = named["pair"]
@@ -600,7 +586,7 @@ def delaying_breaker_move(state: GameState, mem: StrategyMemory) -> Move:
             if state.is_free(pos, other):
                 return Move.claim(other)
 
-    return wander()
+    return wander(state, mem)
 
 
 def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
@@ -635,7 +621,7 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
         # Home edge lost: the protected vertex was reached.
         return nth_move(state, Player.BREAKER, 0)
 
-    if mpos is not None and state.is_free(z, mpos):
+    if state.is_free(z, mpos):
         return Move.claim(mpos)
 
     # Blocking edge already taken: spend the move on another fence edge.
@@ -643,8 +629,8 @@ def isolating_breaker2_move(state: GameState, mem: StrategyMemory) -> Move:
     for v in range(state.n):
         if not state.is_free(z, v):
             continue
-        reach_by_walk = mpos is not None and state.owner(v, mpos) == MAKER_OWNED
-        reach_by_claim = mpos is not None and state.is_free(v, mpos)
+        reach_by_walk = state.owner(v, mpos) == MAKER_OWNED
+        reach_by_claim = state.is_free(v, mpos)
         key = (0 if reach_by_walk else 1, 0 if reach_by_claim else 1, v)
         if best is None or key < best[0]:
             best = (key, v)
@@ -779,15 +765,11 @@ def _rng_seed_for(player: Player, seed: int) -> int:
     return 2 * seed + (1 if player is Player.MAKER else 0)
 
 
-def _random_move(state: GameState, mem: StrategyMemory) -> Move:
-    return random_walker_move(state, mem.rng)
-
-
 @dataclass(frozen=True)
 class StrategySpec:
     """One strategy id's facts, each stated once."""
 
-    move: Callable  # called with (state, memory)
+    move: Callable  # the policy, called with (state, memory)
     pursuit: bool = False  # pursuit-based: the monitors arm only for these
     # The pursuit phase covers the first n - pursuit_left Maker moves; the
     # monitor report records that length for every Maker.
@@ -795,7 +777,6 @@ class StrategySpec:
     certifies: bool = False  # hands over its own Hamilton cycle; never searched
     bounds: dict = field(default_factory=dict)  # goal -> s: wins within n + s moves
     scripted: bool = False  # plays a script, so verify cannot sweep it
-    preset: dict = field(default_factory=dict)  # initial memory.designated
 
 
 # Each side's strategy ids, in the order the command line lists them.
@@ -805,15 +786,15 @@ MAKERS = {
                                  bounds={"connectivity": 1}),
     "hamilton": StrategySpec(hamilton_maker_move, pursuit=True,
                              certifies=True, bounds={"hamilton": 6}),
-    "random": StrategySpec(_random_move),
+    "random": StrategySpec(random_walker_move),
     "scripted": StrategySpec(scripted_move, scripted=True),
 }
 BREAKERS = {
-    "random": StrategySpec(_random_move),
-    "greedy": StrategySpec(lambda state, mem: greedy_breaker_move(state)),
+    "random": StrategySpec(random_walker_move),
+    "greedy": StrategySpec(greedy_breaker_move),
     "delaying": StrategySpec(delaying_breaker_move),
-    "delaying-greedy": StrategySpec(delaying_breaker_move,
-                                    preset={"phase1": "greedy"}),
+    "delaying-greedy": StrategySpec(
+        partial(delaying_breaker_move, wander=greedy_breaker_move)),
     "camper": StrategySpec(camper_breaker_move),
     "isolating": StrategySpec(isolating_breaker2_move),
     "scripted": StrategySpec(scripted_move, scripted=True),
@@ -834,12 +815,13 @@ def spec_of(player: Player, name: str) -> StrategySpec:
 
 def make_policy(player: Player, name: str, seed: int,
                 script_text: Optional[str] = None) -> Policy:
-    """Construct a policy by id. Raises ValueError for unknown ids and
+    """Construct a policy by id: the row's ``move``, bound to a fresh
+    memory on ``player``'s stream of ``seed``, plus the parsed script
+    for a scripted id. Raises ValueError for unknown ids and
     ScriptError for a scripted policy with a bad or missing script, or
     for a script given to a policy that is not scripted."""
     spec = spec_of(player, name)
-    mem = StrategyMemory(rng_seed=_rng_seed_for(player, seed),
-                         designated=dict(spec.preset))
+    mem = StrategyMemory(rng_seed=_rng_seed_for(player, seed))
     if spec.scripted:
         if script_text is None:
             raise ScriptError("scripted strategy needs a script")

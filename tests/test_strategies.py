@@ -283,11 +283,6 @@ class TestFindPivot:
         )
         assert find_pivot(state, 10, 11, list(range(10))) == 3
 
-    def test_excluded_vertices_are_skipped(self):
-        state = build_state(12, maker_edges=[(i, i + 1) for i in range(9)],
-                            maker_pos=9)
-        assert find_pivot(state, 10, 11, list(range(10)), exclude=(0, 1)) == 2
-
     def test_endpoints_never_returned(self):
         # 0 is an endpoint and the 0-1 edge is already owned, so the
         # first claimable pivot is 2.
@@ -550,9 +545,9 @@ class TestDelayingBreaker:
         )
         assert delaying_breaker_move(state, mem) == Move.claim(7)
 
-    def test_greedy_wander_flag(self):
-        mem = StrategyMemory()
-        mem.designated["phase1"] = "greedy"
+    def test_rows_bind_their_wander_policy(self):
+        # Eight vertices are unvisited, so both rows wander, each with
+        # the policy its row binds.
         state = build_state(
             10,
             maker_edges=[(0, 1)],
@@ -562,7 +557,13 @@ class TestDelayingBreaker:
             to_move=Player.BREAKER,
             first_player=Player.MAKER,
         )
-        assert delaying_breaker_move(state, mem) == greedy_breaker_move(state)
+        wanders = {name: make_policy(Player.BREAKER, name, 0)(state)
+                   for name in ("delaying", "delaying-greedy")}
+        assert wanders == {
+            "delaying": make_policy(Player.BREAKER, "random", 0)(state),
+            "delaying-greedy": greedy_breaker_move(state, StrategyMemory()),
+        }
+        assert wanders["delaying"] != wanders["delaying-greedy"]
 
 
 class TestIsolatingBreaker:
@@ -889,7 +890,8 @@ class TestTaintedShortcuts:
                 assert (_best_unvisited_target(state, v)
                         == _scan_best_unvisited(state, v, deg)), (v, state)
             if state.breaker_pos is not None:
-                assert greedy_breaker_move(state) == _scan_greedy(state, deg)
+                assert (greedy_breaker_move(state, StrategyMemory())
+                        == _scan_greedy(state, deg))
             if state.maker_pos is not None:
                 expected = _scan_chase(state, deg)
                 if expected is not None:
@@ -1050,7 +1052,7 @@ class TestFirstLegalScans:
             # Every board is also posed as a placement: the same rows,
             # with the Breaker not yet placed.
             unplaced = dataclasses.replace(state, breaker_pos=None)
-            assert (greedy_breaker_move(unplaced)
+            assert (greedy_breaker_move(unplaced, StrategyMemory())
                     == _scan_first_placement(unplaced)), unplaced
             pos = state.breaker_pos
             if pos is None:
@@ -1062,6 +1064,13 @@ class TestFirstLegalScans:
             if move.target not in state.unvisited:
                 fallbacks["camper"].add(move.kind)
             mem = StrategyMemory()
+            if state.maker_pos is None:
+                # The fence is fixed only once the Maker has placed;
+                # until then the policy makes the first legal move.
+                move = isolating_breaker2_move(state, mem)
+                assert move == legal_moves(state, Player.BREAKER)[0], state
+                assert "target" not in mem.designated
+                continue
             mem.designated["target"] = pos
             move = isolating_breaker2_move(state, mem)
             assert move == _scan_isolating_at_fence(state), state
@@ -1109,19 +1118,20 @@ class TestListFreeChoices:
     def test_counted_draw_matches_choice_from_the_list(self, rng_seed, seed,
                                                        n, steps, bias, first):
         *_, state = random_playout_states(n, seed, steps, bias, first)
-        counted, listed = random.Random(rng_seed), random.Random(rng_seed)
+        memory = StrategyMemory(rng_seed=rng_seed)
+        listed = random.Random(rng_seed)
         for _ in range(3):
-            move = random_walker_move(state, counted)
+            move = random_walker_move(state, memory)
             assert move == listed.choice(legal_moves(state, state.to_move))
-            assert counted.getstate() == listed.getstate()
+            assert memory.rng.getstate() == listed.getstate()
 
     @pytest.mark.parametrize("index", range(len(pass_only_states())))
     def test_counted_draw_when_only_pass(self, index):
         state = pass_only_states()[index]
-        counted, listed = random.Random(index), random.Random(index)
-        assert random_walker_move(state, counted) == Move.pass_()
+        memory, listed = StrategyMemory(rng_seed=index), random.Random(index)
+        assert random_walker_move(state, memory) == Move.pass_()
         listed.choice([Move.pass_()])
-        assert counted.getstate() == listed.getstate()
+        assert memory.rng.getstate() == listed.getstate()
 
     @settings(max_examples=60, deadline=None)
     @given(**playouts)

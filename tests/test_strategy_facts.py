@@ -7,8 +7,9 @@ the answers with a literal table. It goes through those public paths
 only, so it holds whichever way the package stores the facts.
 
 ``test_no_strategy_id_tests_outside_the_table`` parses the package and
-fails on any comparison of a strategy-id string literal with a name or
-an attribute: such a test states a strategy's fact outside its spec.
+fails on any comparison of a strategy-id string literal with anything
+but a literal or a goal: such a test states a strategy's fact outside
+its spec.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ BREAKER_FACTS = {
     "random": ({}, False),
     "greedy": ({}, False),
     "delaying": ({}, False),
-    "delaying-greedy": ({"phase1": "greedy"}, False),
+    "delaying-greedy": ({}, False),
     "camper": ({}, False),
     "isolating": ({}, False),
     "scripted": (None, True),
@@ -133,10 +134,9 @@ def _is_goal_operand(node) -> bool:
 
 
 def strategy_id_tests(source: str) -> list:
-    """Line numbers of comparisons of a strategy-id literal with a name
-    or an attribute other than a goal. A call such as the delaying
-    Breaker's ``named.get("phase1") == "greedy"`` memory-flag read is
-    neither, so it passes."""
+    """Line numbers of comparisons of a strategy-id literal with any
+    operand but a literal or a goal: a name, an attribute, a call or
+    any other expression."""
     ids = set(MAKER_IDS) | set(BREAKER_IDS)
     lines = []
     for node in ast.walk(ast.parse(source)):
@@ -146,7 +146,7 @@ def strategy_id_tests(source: str) -> list:
         for a, b in zip(operands, operands[1:]):
             for literal, other in ((a, b), (b, a)):
                 if (_is_id_literal(literal, ids)
-                        and isinstance(other, (ast.Name, ast.Attribute))
+                        and not isinstance(other, ast.Constant)
                         and not _is_goal_operand(other)):
                     lines.append(node.lineno)
     return sorted(set(lines))
@@ -157,7 +157,7 @@ def test_guard_flags_an_id_test():
               '    pass\n'
               'if goal == "hamilton" and named.get("phase1") == "greedy":\n'
               '    pass\n')
-    assert strategy_id_tests(source) == [1]
+    assert strategy_id_tests(source) == [1, 3]
 
 
 def test_no_strategy_id_tests_outside_the_table():

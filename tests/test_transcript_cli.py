@@ -818,6 +818,20 @@ class TestExitCodes:
         assert ("error[usage]: --bound must be auto, none, or an integer"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv", [
+        ["replay", "missing.jsonl", "--bound", "abc"],
+        ["replay", "bad.jsonl", "--bound", "0"],
+        ["verify", "--n", "20", "--out-dir", "D", "--bound", "abc"],
+    ])
+    def test_bad_bound_exits_4_before_any_input_or_output(self, argv,
+                                                          tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.jsonl").write_text("not a transcript\n")
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err.startswith("error[usage]: --bound ")
+        assert not (tmp_path / "D").exists()
+
     @pytest.mark.parametrize("args", [["run", "--n", "0"],
                                       ["run", "--n", "-3"],
                                       ["verify", "--n", "0", "--games", "1"]])
