@@ -205,8 +205,6 @@ def _cmd_verify(args) -> int:
         for name in names:
             if name not in specs or specs[name].scripted:
                 raise UsageError(f"verify cannot sweep {side} {name!r}")
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
 
     rows = []
     worst = EXIT_CLEAN
@@ -235,6 +233,8 @@ def _cmd_verify(args) -> int:
                     elif sev == EXIT_BOUND:
                         breaches += 1
                     if args.out_dir is not None:
+                        # made after a game passed its own checks
+                        os.makedirs(args.out_dir, exist_ok=True)
                         name = (f"{args.goal}_{maker}_vs_{breaker}"
                                 f"_n{n}_s{seed}.jsonl")
                         write_transcript(os.path.join(args.out_dir, name),

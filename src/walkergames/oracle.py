@@ -35,10 +35,15 @@ Each position is solved once:
   frame, and stored moves are mapped back when the principal variation
   is read off.
 
-The only line that never consumes budget is one in which every Maker
-move is a pass, which she plays only when stuck for good; a repetition
-guard keyed by position and budget scores those standoffs as
-prevention.
+Every line ends by itself: a position that is won, dead or out of
+budget is never expanded, and in any other the Maker to move has a
+move that spends budget. A placed Maker with no free edge and no
+traversal at her seat faces a Breaker star there; an unplaced Maker
+with no free edge faces a Breaker who owns every edge she lacks; both
+are dead for either goal. So no (position, budget) pair repeats
+along a line, and a principal variation from budget b has at most
+2b + 1 moves. A rule change that broke this would overflow the
+recursion (``OracleLimitError``), not return a wrong value.
 
 The optimal move stored with each value yields a principal variation
 that ``cross_validate`` replays through the real engine, move by legal
@@ -198,7 +203,6 @@ class _Solver:
         self.node_limit = node_limit
         self.nodes = 0
         self.memo: dict = {}
-        self.onpath: set = set()
         self.bit = _bit_rows(n)
         self.edges = edge_count(n)
         self.full = (1 << self.edges) - 1
@@ -289,15 +293,11 @@ class _Solver:
                 return v if v <= budget else _INF
             if -v >= budget:
                 return _INF
-        guard = (key, budget)
-        if guard in self.onpath:
-            return _INF  # the Maker is stuck: nobody can progress
         self.nodes += 1
-        if self.nodes > self.node_limit or len(self.memo) > self.node_limit:
+        if self.nodes > self.node_limit:
             raise OracleLimitError(
                 f"search exceeded {self.node_limit} nodes; raise the limit "
                 "or shrink the problem")
-        self.onpath.add(guard)
         bit = self.bit
         free = self.full & ~(mm | bm)
         if maker_turn:
@@ -324,21 +324,19 @@ class _Solver:
                     best, best_move = v, mv
                     if v >= _INF:
                         break  # prevention is the Breaker's best
-        self.onpath.discard(guard)
         self.memo[key] = (best if best < _INF else -budget, best_move)
         return best
 
     def principal_variation(self, mm: int, bm: int, mpos: int, bpos: int,
-                            maker_turn: int, budget: int,
-                            max_len: int) -> list:
+                            maker_turn: int, budget: int) -> list:
+        """The stored best line; it ends because every stored Maker move
+        is a non-pass that spends budget."""
         pv = []
-        seen = set()
-        while len(pv) < max_len and not self.won[mm] and budget > 0:
+        while not self.won[mm] and budget > 0:
             key, *_, label = self._canonical(mm, bm, mpos, bpos, maker_turn)
             hit = self.memo.get(key)
-            if hit is None or (key, budget) in seen:
-                break  # a dead position or a standoff
-            seen.add((key, budget))
+            if hit is None:
+                break  # a dead position
             mv = _relabel(hit[1], label)
             pv.append(mv)
             mm, bm, mpos, bpos, cost = _child(self.bit, mm, bm, mpos, bpos,
@@ -393,12 +391,10 @@ def solve_from_state(state: GameState, goal: str,
     if val < _INF:
         outcome = "maker"
         moves_to_win = val
-        pv_len = 4 * (val + 1) + 8
     else:
         outcome = "breaker"
         moves_to_win = None
-        pv_len = 4 * cap + 8
-    pv = solver.principal_variation(*position, remaining, pv_len)
+    pv = solver.principal_variation(*position, remaining)
     first = "maker" if state.to_move is Player.MAKER else "breaker"
     return SolveResult(
         n=state.n,

@@ -24,7 +24,13 @@ import random
 
 import pytest
 
-from conftest import INF, brute_force_value, random_playout_states, relabel_state
+from conftest import (
+    INF,
+    brute_force_value,
+    build_state,
+    random_playout_states,
+    relabel_state,
+)
 
 from walkergames.engine import (
     GOALS,
@@ -38,6 +44,8 @@ from walkergames.oracle import (
     ORACLE_MAX_N,
     OracleLimitError,
     SolveResult,
+    _bit_rows,
+    _goal_tables,
     _internal_from_state,
     _Solver,
     cross_validate,
@@ -206,6 +214,51 @@ class TestBudgetIndependence:
                 assert shared.value(*position, b) == fresh[b], (state, b)
         if goal == "connectivity":
             assert varied >= 10
+
+
+class TestEveryLineEnds:
+    """The solver needs no repetition guard: a Maker to move who has only
+    a pass is won or dead, so every expanded Maker ply spends budget and
+    a principal variation from budget b has at most 2b + 1 moves."""
+
+    @staticmethod
+    def _positions(n, rng):
+        for seed in range(4):
+            for first in (Player.BREAKER, Player.MAKER):
+                yield from random_playout_states(n, seed, 2 * n, first=first)
+        pairs = list(itertools.combinations(range(n), 2))
+        seats = [None] + list(range(n))
+        for _ in range(40):
+            owners = rng.choices("mbf", weights=(1, rng.randint(1, 8), 1),
+                                 k=len(pairs))
+            yield build_state(
+                n,
+                maker_edges=[e for e, o in zip(pairs, owners) if o == "m"],
+                breaker_edges=[e for e, o in zip(pairs, owners) if o == "b"],
+                maker_pos=rng.choice(seats), breaker_pos=rng.choice(seats),
+                to_move=rng.choice((Player.MAKER, Player.BREAKER)))
+
+    def test_pass_only_makers_are_won_or_dead_and_lines_are_short(self):
+        rng = random.Random(27)
+        checked = stuck = solved = 0
+        for n in (3, 4, 5):
+            positions = list(self._positions(n, rng))
+            for goal in GOALS:
+                won, dead = _goal_tables(n, goal, _bit_rows(n))
+                for state in positions:
+                    checked += 1
+                    mm, bm, *_ = _internal_from_state(state)
+                    if (state.to_move is Player.MAKER
+                            and oracle_moves(state) == [Move.pass_()]):
+                        stuck += 1
+                        assert won[mm] or dead[bm], state
+                for state in positions[::16 if n == 5 else 3]:
+                    for budget in range(1, 8):
+                        result = solve_from_state(
+                            state, goal, move_cap=state.maker_moves + budget)
+                        assert len(result.pv) <= 2 * budget + 1, (state, goal)
+                        solved += 1
+        assert checked >= 300 and stuck >= 20 and solved >= 500
 
 
 class TestGeneratorAgreement:

@@ -587,6 +587,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["run"],                                        # missing --n
         ["run", "--n", "10", "--bias", "fast"],
+        ["run", "--n", "10", "--bias", "1:x"],
+        ["run", "--n", "10", "--bias", "0:1"],
         ["run", "--n", "10", "--bound", "-2"],
         ["run", "--n", "10", "--first", "referee"],
         ["verify", "--makers", "scripted"],
@@ -596,7 +598,37 @@ class TestExitCodes:
     ])
     def test_usage_errors_exit_4(self, argv, capsys):
         assert cli.main(argv) == 4
-        assert "error[" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error[usage]: ")
+
+    @pytest.mark.parametrize("argv,code,counter", [
+        (["--n", "20", "--makers", "connectivity", "--breakers", "greedy",
+          "--games", "2", "--bound", "3"], 1, ("bound_breaches", 2)),
+        (["--n", "4", "--goal", "hamilton", "--makers", "hamilton",
+          "--breakers", "greedy", "--games", "1"], 3, ("assertions", 1)),
+    ])
+    def test_verify_counts_each_failing_game(self, argv, code, counter,
+                                             capsys):
+        assert cli.main(["verify", *argv, "--json"]) == code
+        summary = json.loads(capsys.readouterr().out)
+        [cell] = summary["cells"]
+        assert cell[counter[0]] == counter[1]
+        assert summary["exit_status"] == code
+
+    def test_solve_failing_cross_validation_exits_3(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "cross_validate", lambda result: False)
+        assert cli.main(["solve", "--n", "3"]) == 3
+        assert ("principal variation failed engine validation"
+                in capsys.readouterr().err)
+
+    def test_runtime_error_exits_3_as_internal_assertion(self, capsys,
+                                                         monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("invariant lost")
+        monkeypatch.setattr(cli, "run_game", broken)
+        assert cli.main(["run", "--n", "10"]) == 3
+        assert ("error[internal-assertion]: invariant lost"
+                in capsys.readouterr().err)
 
     def test_missing_transcript_file_exits_4(self, tmp_path, capsys):
         code = cli.main(["replay", str(tmp_path / "nope.jsonl")])
@@ -830,6 +862,22 @@ class TestExitCodes:
         (tmp_path / "bad.jsonl").write_text("not a transcript\n")
         assert cli.main(argv) == 4
         assert capsys.readouterr().err.startswith("error[usage]: --bound ")
+        assert not (tmp_path / "D").exists()
+
+    @pytest.mark.parametrize("argv,tag", [
+        (["--n", "20", "--move-cap", "0"], "value"),
+        (["--n", "20", "--bias", "1:x"], "usage"),
+        (["--n", "20", "--bias", "0:1"], "usage"),
+        (["--n", "2"], "value"),
+        (["--n", "21", "--makers", "random", "--goal", "hamilton"], "value"),
+    ])
+    def test_rejected_verify_game_leaves_no_out_dir(self, argv, tag,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "--games", "1", "--out-dir", "D",
+                         *argv]) == 4
+        assert capsys.readouterr().err.startswith(f"error[{tag}]: ")
         assert not (tmp_path / "D").exists()
 
     @pytest.mark.parametrize("args", [["run", "--n", "0"],
