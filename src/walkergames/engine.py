@@ -32,7 +32,10 @@ Conventions
   ``degree_m``; the state keeps no degree list.
 * Play advances one ``GameState`` in place: ``apply_move`` validates
   the whole move with ``check_move`` first, so a rejected move changes
-  nothing, and then updates the state and returns None. A claim writes
+  nothing, and then updates the state and returns None. ``check_move``
+  returns the vertex the move leaves from, which ``apply_move`` writes
+  from, and rejects a vertex that is not an ``int``, a bool included,
+  as out of range. A claim writes
   two bytes of the rows and appends one pair, so a move's bookkeeping
   takes the same time at any n. Each state owns its rows; no row is
   shared between states. ``copy()`` returns an independent state, for
@@ -322,17 +325,15 @@ def nth_move(state: GameState, player: Player, k: int) -> Move:
     raise IndexError(f"{player.value} has no legal move {k}")
 
 
-def _check_vertex(state: GameState, v: Optional[int], what: str) -> None:
-    if v is None or not 0 <= v < state.n:
-        raise IllegalMoveError("out-of-range", f"{what} vertex {v!r} not in [0, {state.n})")
-
-
-def check_move(state: GameState, player: Player, move: Move) -> None:
-    """Raise IllegalMoveError unless ``player`` may play ``move`` now.
+def check_move(state: GameState, player: Player, move: Move) -> Optional[int]:
+    """Raise IllegalMoveError unless ``player`` may play ``move`` now, and
+    return the vertex the move leaves from: the placement's start or the
+    player's position, or None for a pass.
 
     Changes nothing. Rejections carry the violated rule by name:
     wrong-player, wrong-kind, out-of-range, loop, opponent-edge,
-    own-edge, unclaimed-edge, pass-with-moves.
+    own-edge, unclaimed-edge, pass-with-moves. A vertex that is not an
+    ``int`` (a bool or a float, say) is out of range.
     """
     if player is not state.to_move:
         raise IllegalMoveError("wrong-player", f"{player.value} is not to move")
@@ -340,22 +341,27 @@ def check_move(state: GameState, player: Player, move: Move) -> None:
     if kind is _PASS:
         if count_moves(state, player):
             raise IllegalMoveError("pass-with-moves", "pass while claims or traversals exist")
-        return
-    pos = state.position(player)
-    placing = kind is _PLACE
-    if placing and pos is not None:
-        raise IllegalMoveError("wrong-kind", "placement after the walk has started")
-    if not placing and pos is None:
+        return None
+    maker = player is _MAKER
+    pos = state.maker_pos if maker else state.breaker_pos
+    n = state.n
+    if kind is _PLACE:
+        if pos is not None:
+            raise IllegalMoveError("wrong-kind", "placement after the walk has started")
+        origin = move.start
+        if type(origin) is not int or not 0 <= origin < n:
+            raise IllegalMoveError("out-of-range", f"start vertex {origin!r} not in [0, {n})")
+    elif pos is None:
         raise IllegalMoveError("wrong-kind", f"{kind.value} before placement")
-    origin = move.start if placing else pos
-    if placing:
-        _check_vertex(state, origin, "start")
+    else:
+        origin = pos
     target = move.target
-    _check_vertex(state, target, "target")
+    if type(target) is not int or not 0 <= target < n:
+        raise IllegalMoveError("out-of-range", f"target vertex {target!r} not in [0, {n})")
     if target == origin:
         raise IllegalMoveError("loop", f"{kind.value} loop at {origin}")
     # A traversal needs an own edge; a placement or claim a free one.
-    own = player.owns
+    own = MAKER_OWNED if maker else BREAKER_OWNED
     o = state.rows[origin][target]
     if o != (own if kind is _TRAVERSE else FREE):
         if o == FREE:
@@ -365,12 +371,13 @@ def check_move(state: GameState, player: Player, move: Move) -> None:
         else:
             rule, why = "opponent-edge", "is the opponent's"
         raise IllegalMoveError(rule, f"edge {origin}-{target} {why}")
+    return origin
 
 
 def apply_move(state: GameState, player: Player, move: Move) -> None:
     """Validate one move with ``check_move``, then play it on ``state``
     in place. A rejected move leaves the state untouched."""
-    check_move(state, player, move)
+    origin = check_move(state, player, move)
     kind = move.kind
     maker = player is _MAKER
     if kind is _PASS:
@@ -378,8 +385,7 @@ def apply_move(state: GameState, player: Player, move: Move) -> None:
     else:
         target = move.target
         if kind is not _TRAVERSE:
-            origin = move.start if kind is _PLACE else state.position(player)
-            own = player.owns
+            own = MAKER_OWNED if maker else BREAKER_OWNED
             rows = state.rows
             rows[origin][target] = own
             rows[target][origin] = own
@@ -407,9 +413,12 @@ def apply_move(state: GameState, player: Player, move: Move) -> None:
 
     state.moves_left_in_turn -= 1
     if state.moves_left_in_turn == 0:
-        to_move = _BREAKER if maker else _MAKER
-        state.to_move = to_move
-        state.moves_left_in_turn = state.bias.per_turn(to_move)
+        if maker:
+            to_move = state.to_move = _BREAKER
+            state.moves_left_in_turn = state.bias.breaker
+        else:
+            to_move = state.to_move = _MAKER
+            state.moves_left_in_turn = state.bias.maker
         if to_move is state.first_player:
             state.round += 1
 

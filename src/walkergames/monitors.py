@@ -54,8 +54,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import (GameState, breaker_edge_inside_unvisited, degree_b,
-                     degree_m)
+from .engine import (BREAKER_OWNED, MAKER_OWNED, GameState,
+                     breaker_edge_inside_unvisited, degree_b, degree_m)
 from .strategies import MAKERS
 from .transcript import Header, MoveRecord
 
@@ -90,7 +90,7 @@ class CheckStats:
         return dict(vars(self))
 
 
-# Standalone predicates, reused by the suite and by unit tests.
+# Standalone predicates: the tests' references for ``MonitorSuite.observe``.
 
 def breaker_edges_all_touch_maker(state: GameState) -> Optional[tuple]:
     """Return the first Breaker edge with both endpoints unvisited, or None.
@@ -170,7 +170,13 @@ def first_visited(state: GameState, kind: str) -> list:
 
 
 class MonitorSuite:
-    """Observes applied moves and scores the guarantee checks."""
+    """Observes applied moves and scores the guarantee checks.
+
+    ``observe`` states every check inline, reading the state's rows and
+    sets once per move. The standalone predicates above state the same
+    rules one at a time; they are the tests' references for it, and only
+    ``breaker_edges_all_touch_maker`` is called from here.
+    """
 
     def __init__(self, header: Header):
         self.header = header
@@ -181,9 +187,13 @@ class MonitorSuite:
                       and tuple(header.bias) == (1, 1)
                       and header.first_player == "breaker")
         self.checks = {name: CheckStats() for name in CHECK_NAMES}
+        # The same six stats, in CHECK_NAMES order, for observe to bump.
+        (self._touch, self._position, self._prereply, self._tainted,
+         self._first_visit, self._path) = self.checks.values()
         self.max_first_visit_degree: Optional[int] = None
         self.pass_entries: list = []
         self._prev_round_breaker_end: Optional[int] = None
+        self._window = header.n - 3  # the Maker moves of the pursuit window
         self._pursuit_limit = header.n - spec.pursuit_left
         self._violations = 0  # over all checks, so has_violations is O(1)
 
@@ -197,105 +207,120 @@ class MonitorSuite:
         kind = record.kind
         if kind == "pass":
             self.pass_entries.append(record.index)
+        rows = state.rows
+        unvisited = state.unvisited
+        tainted = state.tainted
+        w = state.maker_pos
+
         if record.player == "breaker":
-            self._prereply_check(state, record.round)
+            # Just before the Maker's reply.
+            stats = self._prereply
+            round_before = record.round
+            if (w is None or len(unvisited) < 2
+                    or state.maker_moves > self._pursuit_limit
+                    or round_before < 1):
+                stats.skipped += 1
+                return
+            stats.evaluated += 1
+            row = rows[w]
+            d = 0
+            for t in tainted:
+                if row[t] == BREAKER_OWNED:
+                    d += 1
+            if d > 2:
+                self._violate(
+                    stats, round_before + 1,
+                    f"degree {d} from position {w} into the unvisited set "
+                    "before the reply")
+            elif d == 2 and self._prev_round_breaker_end != w:
+                self._violate(
+                    stats, round_before + 1,
+                    f"degree 2 from position {w} but the previous round ended "
+                    f"with the opponent at {self._prev_round_breaker_end}")
             return
+
         # Every Maker move ends a round in the armed setting.
         round_1b = record.round + 1
         if kind != "pass":
-            self._maker_move_checks(state, round_1b, kind)
-        self._round_completed_checks(state, round_1b)
-
-    def _maker_move_checks(self, state: GameState, round_1b: int, kind: str):
-        in_pursuit_window = state.maker_moves <= self.header.n - 3
-        stats = self.checks["first_visit_degree"]
-        for v in first_visited(state, kind):
-            if not in_pursuit_window:
+            maker_moves = state.maker_moves
+            in_window = maker_moves <= self._window
+            if kind != "traverse":
+                # A placement or claim first visits those ends of its edge
+                # that hold no other Maker edge: their rows' first and last
+                # Maker bytes are one. Most first visits meet no Breaker
+                # edge, which a search finds faster than a count.
+                stats = self._first_visit
+                for v in state.maker_edges[-1]:
+                    row = rows[v]
+                    if row.find(MAKER_OWNED) != row.rfind(MAKER_OWNED):
+                        continue
+                    if not in_window:
+                        stats.skipped += 1
+                        continue
+                    stats.evaluated += 1
+                    d = row.count(BREAKER_OWNED) if BREAKER_OWNED in row else 0
+                    best = self.max_first_visit_degree
+                    if best is None or d > best:
+                        self.max_first_visit_degree = d
+                    if d > FIRST_VISIT_DEGREE_LIMIT:
+                        self._violate(
+                            stats, round_1b,
+                            f"vertex {v} first visited with opponent degree "
+                            f"{d}")
+            stats = self._path
+            if not in_window:
                 stats.skipped += 1
-                continue
-            stats.evaluated += 1
-            d = degree_b(state, v)
-            if self.max_first_visit_degree is None or d > self.max_first_visit_degree:
-                self.max_first_visit_degree = d
-            if d > FIRST_VISIT_DEGREE_LIMIT:
-                self._violate(
-                    stats, round_1b,
-                    f"vertex {v} first visited with opponent degree {d}")
+            else:
+                stats.evaluated += 1
+                claimed = len(state.maker_edges)
+                if claimed != maker_moves:
+                    self._violate(
+                        stats, round_1b,
+                        f"move {maker_moves} left {claimed} claimed edges, "
+                        "not one per move")
+                elif state.n - len(unvisited) != maker_moves + 1:
+                    self._violate(
+                        stats, round_1b,
+                        f"claimed edges after move {maker_moves} do not "
+                        "form a simple path")
 
-        stats = self.checks["path_shape"]
-        if not in_pursuit_window:
-            stats.skipped += 1
-            return
-        stats.evaluated += 1
-        if len(state.maker_edges) != state.maker_moves:
-            self._violate(
-                stats, round_1b,
-                f"move {state.maker_moves} left {len(state.maker_edges)} "
-                "claimed edges, not one per move")
-        elif state.n - len(state.unvisited) != state.maker_moves + 1:
-            self._violate(
-                stats, round_1b,
-                f"claimed edges after move {state.maker_moves} do not form "
-                "a simple path")
-
-    def _prereply_check(self, state: GameState, round_before: int):
-        stats = self.checks["prereply_unvisited_degree"]
-        if (state.maker_pos is None
-                or len(state.unvisited) < 2
-                or state.maker_moves > self._pursuit_limit
-                or round_before < 1):
-            stats.skipped += 1
-            return
-        stats.evaluated += 1
-        w = state.maker_pos
-        d = degree_b(state, w, state.tainted)
-        if d > 2:
-            self._violate(
-                stats, round_before + 1,
-                f"degree {d} from position {w} into the unvisited set "
-                "before the reply")
-        elif d == 2 and self._prev_round_breaker_end != w:
-            self._violate(
-                stats, round_before + 1,
-                f"degree 2 from position {w} but the previous round ended "
-                f"with the opponent at {self._prev_round_breaker_end}")
-
-    def _round_completed_checks(self, state: GameState, round_1b: int):
-        gate = len(state.unvisited) > 2
-
-        stats = self.checks["breaker_edges_touch_maker"]
-        if gate:
+        # At the end of the round.
+        if len(unvisited) > 2:
+            stats = self._touch
             stats.evaluated += 1
             bad = breaker_edges_all_touch_maker(state)
             if bad is not None:
                 self._violate(
                     stats, round_1b,
                     f"opponent edge {bad} has both endpoints unvisited")
-        else:
-            stats.skipped += 1
 
-        stats = self.checks["position_unvisited_degree"]
-        if gate and state.maker_pos is not None:
-            stats.evaluated += 1
-            d = position_unvisited_degree(state)
-            if d > 1:
-                self._violate(
-                    stats, round_1b,
-                    f"degree {d} from position {state.maker_pos} into the "
-                    "unvisited set at round end")
-        else:
-            stats.skipped += 1
+            stats = self._position
+            if w is None:
+                stats.skipped += 1
+            else:
+                stats.evaluated += 1
+                row = rows[w]
+                d = 0
+                for t in tainted:
+                    if row[t] == BREAKER_OWNED:
+                        d += 1
+                if d > 1:
+                    self._violate(
+                        stats, round_1b,
+                        f"degree {d} from position {w} into the unvisited "
+                        "set at round end")
 
-        stats = self.checks["tainted_unvisited_limit"]
-        if gate:
+            stats = self._tainted
             stats.evaluated += 1
-            t = tainted_unvisited_count(state)
+            t = len(tainted)
             if t > 2:
                 self._violate(
                     stats, round_1b,
                     f"{t} unvisited vertices touch opponent edges")
         else:
-            stats.skipped += 1
+            self._touch.skipped += 1
+            self._position.skipped += 1
+            self._tainted.skipped += 1
 
         self._prev_round_breaker_end = state.breaker_pos
 

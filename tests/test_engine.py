@@ -33,6 +33,7 @@ from walkergames.engine import (
     MoveKind,
     Player,
     apply_move,
+    check_move,
     connectivity_won,
     count_moves,
     degree_b,
@@ -219,29 +220,41 @@ class TestInPlaceContract:
     move is valid; ``copy()`` makes an independent state; the callers
     that only look at a position leave it unchanged."""
 
-    REJECTED = [
-        # (rule, position builder, player, move)
-        ("wrong-player", lambda: new_game(4), Player.MAKER, Move.place(0, 1)),
-        ("wrong-kind", lambda: _play(new_game(4), Move.place(0, 1)),
-         Player.MAKER, Move.claim(2)),
-        ("out-of-range", lambda: new_game(4), Player.BREAKER, Move.place(0, 4)),
-        ("loop", lambda: new_game(4), Player.BREAKER, Move.place(2, 2)),
-        ("opponent-edge",
-         lambda: _play(new_game(4), Move.place(0, 1), Move.place(2, 3),
-                       Move.claim(3)),
-         Player.MAKER, Move.traverse(1)),
-        ("own-edge",
-         lambda: _play(new_game(4), Move.place(0, 1), Move.place(2, 3),
-                       Move.claim(2)),
-         Player.MAKER, Move.claim(2)),
-        ("unclaimed-edge",
-         lambda: _play(new_game(4), Move.place(0, 1), Move.place(2, 3)),
-         Player.BREAKER, Move.traverse(2)),
-        ("pass-with-moves", lambda: new_game(4), Player.BREAKER, Move.pass_()),
-    ]
+    REJECTED = {
+        # test id: (rule, position builder, player, move)
+        "wrong-player": ("wrong-player", lambda: new_game(4), Player.MAKER,
+                         Move.place(0, 1)),
+        "wrong-kind": ("wrong-kind", lambda: _play(new_game(4), Move.place(0, 1)),
+                       Player.MAKER, Move.claim(2)),
+        "out-of-range": ("out-of-range", lambda: new_game(4), Player.BREAKER,
+                         Move.place(0, 4)),
+        # A bool would be written as JSON true, which no reader accepts,
+        # and a float indexes no edge row.
+        "bool-vertex": ("out-of-range", lambda: new_game(4), Player.BREAKER,
+                        Move.place(True, 3)),
+        "float-vertex": ("out-of-range",
+                         lambda: _play(new_game(4), Move.place(0, 1),
+                                       Move.place(2, 3)),
+                         Player.BREAKER, Move.claim(2.0)),
+        "loop": ("loop", lambda: new_game(4), Player.BREAKER, Move.place(2, 2)),
+        "opponent-edge": ("opponent-edge",
+                          lambda: _play(new_game(4), Move.place(0, 1),
+                                        Move.place(2, 3), Move.claim(3)),
+                          Player.MAKER, Move.traverse(1)),
+        "own-edge": ("own-edge",
+                     lambda: _play(new_game(4), Move.place(0, 1),
+                                   Move.place(2, 3), Move.claim(2)),
+                     Player.MAKER, Move.claim(2)),
+        "unclaimed-edge": ("unclaimed-edge",
+                           lambda: _play(new_game(4), Move.place(0, 1),
+                                         Move.place(2, 3)),
+                           Player.BREAKER, Move.traverse(2)),
+        "pass-with-moves": ("pass-with-moves", lambda: new_game(4),
+                            Player.BREAKER, Move.pass_()),
+    }
 
-    @pytest.mark.parametrize("rule,build,player,move", REJECTED,
-                             ids=[r[0] for r in REJECTED])
+    @pytest.mark.parametrize("rule,build,player,move", REJECTED.values(),
+                             ids=REJECTED.keys())
     def test_rejected_move_leaves_the_state_untouched(self, rule, build,
                                                       player, move):
         state = build()
@@ -250,6 +263,31 @@ class TestInPlaceContract:
             apply_move(state, player, move)
         assert err.value.rule == rule
         assert _frozen(state) == _frozen(before)
+
+    @pytest.mark.parametrize("bias", BIASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_check_move_returns_the_origin(self, seed, bias):
+        """``check_move`` returns the vertex a legal move leaves from: a
+        placement's start, else the mover's position, and None for a
+        pass; and it changes nothing."""
+        rng = random.Random(seed)
+        state = new_game(6, Bias(*bias))
+        kinds = set()
+        for _ in range(40):
+            player = state.to_move
+            move = rng.choice(legal_moves(state, player))
+            frozen = _frozen(state)
+            origin = check_move(state, player, move)
+            assert _frozen(state) == frozen
+            if move.kind is MoveKind.PASS:
+                assert origin is None
+            elif move.kind is MoveKind.PLACE:
+                assert origin == move.start
+            else:
+                assert origin == state.position(player)
+            kinds.add(move.kind)
+            apply_move(state, player, move)
+        assert {MoveKind.PLACE, MoveKind.CLAIM} <= kinds
 
     @pytest.mark.parametrize("bias", BIASES)
     @pytest.mark.parametrize("seed", range(3))

@@ -2,6 +2,7 @@
 violation detection on synthetic deviant play."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from walkergames.engine import (
     MoveKind,
     Player,
     apply_move,
+    degree_b,
     legal_moves,
     new_game,
 )
@@ -410,6 +412,167 @@ class TestIncrementalPathShape:
         # the path, which the vertex count must catch.
         assert traversals > 0
         assert shape_breaks > 0
+
+
+class ReferenceSuite(MonitorSuite):
+    """The suite's checks as three methods that call the standalone
+    predicates, one check at a time: the form ``MonitorSuite.observe``
+    was flattened from. ``TestFlatObserve`` holds the two to the same
+    counts."""
+
+    def observe(self, record, state):
+        if not self.armed:
+            return
+        kind = record.kind
+        if kind == "pass":
+            self.pass_entries.append(record.index)
+        if record.player == "breaker":
+            self._prereply_check(state, record.round)
+            return
+        round_1b = record.round + 1
+        if kind != "pass":
+            self._maker_move_checks(state, round_1b, kind)
+        self._round_completed_checks(state, round_1b)
+
+    def _maker_move_checks(self, state, round_1b, kind):
+        in_pursuit_window = state.maker_moves <= self.header.n - 3
+        stats = self.checks["first_visit_degree"]
+        for v in first_visited(state, kind):
+            if not in_pursuit_window:
+                stats.skipped += 1
+                continue
+            stats.evaluated += 1
+            d = degree_b(state, v)
+            if (self.max_first_visit_degree is None
+                    or d > self.max_first_visit_degree):
+                self.max_first_visit_degree = d
+            if d > FIRST_VISIT_DEGREE_LIMIT:
+                self._violate(
+                    stats, round_1b,
+                    f"vertex {v} first visited with opponent degree {d}")
+
+        stats = self.checks["path_shape"]
+        if not in_pursuit_window:
+            stats.skipped += 1
+            return
+        stats.evaluated += 1
+        if len(state.maker_edges) != state.maker_moves:
+            self._violate(
+                stats, round_1b,
+                f"move {state.maker_moves} left {len(state.maker_edges)} "
+                "claimed edges, not one per move")
+        elif state.n - len(state.unvisited) != state.maker_moves + 1:
+            self._violate(
+                stats, round_1b,
+                f"claimed edges after move {state.maker_moves} do not form "
+                "a simple path")
+
+    def _prereply_check(self, state, round_before):
+        stats = self.checks["prereply_unvisited_degree"]
+        if (state.maker_pos is None
+                or len(state.unvisited) < 2
+                or state.maker_moves > self._pursuit_limit
+                or round_before < 1):
+            stats.skipped += 1
+            return
+        stats.evaluated += 1
+        w = state.maker_pos
+        d = position_unvisited_degree(state)
+        if d > 2:
+            self._violate(
+                stats, round_before + 1,
+                f"degree {d} from position {w} into the unvisited set "
+                "before the reply")
+        elif d == 2 and self._prev_round_breaker_end != w:
+            self._violate(
+                stats, round_before + 1,
+                f"degree 2 from position {w} but the previous round ended "
+                f"with the opponent at {self._prev_round_breaker_end}")
+
+    def _round_completed_checks(self, state, round_1b):
+        gate = len(state.unvisited) > 2
+
+        stats = self.checks["breaker_edges_touch_maker"]
+        if gate:
+            stats.evaluated += 1
+            bad = breaker_edges_all_touch_maker(state)
+            if bad is not None:
+                self._violate(
+                    stats, round_1b,
+                    f"opponent edge {bad} has both endpoints unvisited")
+        else:
+            stats.skipped += 1
+
+        stats = self.checks["position_unvisited_degree"]
+        if gate and state.maker_pos is not None:
+            stats.evaluated += 1
+            d = position_unvisited_degree(state)
+            if d > 1:
+                self._violate(
+                    stats, round_1b,
+                    f"degree {d} from position {state.maker_pos} into the "
+                    "unvisited set at round end")
+        else:
+            stats.skipped += 1
+
+        stats = self.checks["tainted_unvisited_limit"]
+        if gate:
+            stats.evaluated += 1
+            t = tainted_unvisited_count(state)
+            if t > 2:
+                self._violate(
+                    stats, round_1b,
+                    f"{t} unvisited vertices touch opponent edges")
+        else:
+            stats.skipped += 1
+
+        self._prev_round_breaker_end = state.breaker_pos
+
+
+def _tally(suite):
+    """Everything a suite has scored so far."""
+    return ({name: vars(stats) for name, stats in suite.checks.items()},
+            suite.max_first_visit_degree, suite.pass_entries,
+            suite.has_violations())
+
+
+class TestFlatObserve:
+    """``MonitorSuite.observe`` states every check inline; after every
+    move it must have scored what ``ReferenceSuite`` scores. A random
+    Maker judged as pursuit breaches every check, so this reaches the
+    violation paths that honest games never do. The greedy Breaker,
+    which claims from one seat, builds the Breaker degree that the
+    ``first_visit_degree`` check rejects."""
+
+    def test_matches_the_reference_after_every_move(self):
+        seen = {name: [0, 0, 0] for name in CHECK_NAMES}
+        for n, seed in itertools.product((20, 24, 30), range(9)):
+            # Armed on the Maker id alone; the moves come from the policies.
+            maker_id = ("chase", "connectivity", "hamilton")[seed % 3]
+            breaker_id = ("random", "greedy", "camper")[seed // 3]
+            suite = _suite(n=n, maker=maker_id)
+            reference = ReferenceSuite(suite.header)
+            assert suite.armed
+            maker = make_policy(Player.MAKER, "random", seed)
+            breaker = make_policy(Player.BREAKER, breaker_id, seed)
+            state = new_game(n, Bias(1, 1), Player.BREAKER)
+            for index in range(6 * n):
+                player = state.to_move
+                move = (maker if player is Player.MAKER else breaker)(state)
+                rnd, name, origin, target = _record_fields(state, player,
+                                                           move)
+                record = MoveRecord(index, rnd, name, move.kind.value,
+                                    origin, target)
+                apply_move(state, player, move)
+                suite.observe(record, state)
+                reference.observe(record, state)
+                assert _tally(suite) == _tally(reference), (n, seed, index)
+            for name, stats in suite.checks.items():
+                for i, count in enumerate((stats.evaluated, stats.skipped,
+                                           stats.violations)):
+                    seen[name][i] += count
+        # Every check was evaluated, skipped and breached in the sample.
+        assert all(all(counts) for counts in seen.values()), seen
 
 
 class TestViolationCount:
