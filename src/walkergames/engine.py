@@ -332,12 +332,15 @@ def check_move(state: GameState, player: Player, move: Move) -> Optional[int]:
 
     Changes nothing. Rejections carry the violated rule by name:
     wrong-player, wrong-kind, out-of-range, loop, opponent-edge,
-    own-edge, unclaimed-edge, pass-with-moves. A vertex that is not an
-    ``int`` (a bool or a float, say) is out of range.
+    own-edge, unclaimed-edge, pass-with-moves. A kind that is not a
+    ``MoveKind`` (its str value, say) is the wrong kind, and a vertex
+    that is not an ``int`` (a bool or a float, say) is out of range.
     """
     if player is not state.to_move:
         raise IllegalMoveError("wrong-player", f"{player.value} is not to move")
     kind = move.kind
+    if type(kind) is not MoveKind:
+        raise IllegalMoveError("wrong-kind", f"move kind {kind!r} is not a MoveKind")
     if kind is _PASS:
         if count_moves(state, player):
             raise IllegalMoveError("pass-with-moves", "pass while claims or traversals exist")
@@ -455,21 +458,15 @@ def degree_m(state: GameState, x: int) -> int:
 def breaker_edge_inside_unvisited(state: GameState) -> bool:
     """Whether some Breaker edge has both endpoints unvisited.
 
-    Both ends of such an edge are tainted. With no more tainted pairs
-    than Breaker edges, the pairs are looked up in the edge rows;
-    otherwise the edges are scanned.
+    Both ends of such an edge are tainted, so the pairs of tainted
+    vertices are looked up in the edge rows.
     """
     tainted = state.tainted
-    k = len(tainted)
-    if k < 2:
+    if len(tainted) < 2:
         return False
-    if k * (k - 1) // 2 <= len(state.breaker_edges):
-        rows = state.rows
-        return any(rows[a][b] == BREAKER_OWNED
-                   for a, b in combinations(tainted, 2))
-    unvisited = state.unvisited
-    return any(a in unvisited and b in unvisited
-               for a, b in state.breaker_edges)
+    rows = state.rows
+    return any(rows[a][b] == BREAKER_OWNED
+               for a, b in combinations(tainted, 2))
 
 
 # ---------------------------------------------------------------------------

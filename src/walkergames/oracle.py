@@ -33,7 +33,8 @@ Each position is solved once:
   Breaker's to the next label, then takes the least key over the
   orders of the other vertices. The search runs in that canonical
   frame, and stored moves are mapped back when the principal variation
-  is read off.
+  is read off. Each of the n! renamings is built once, as mask tables,
+  and serves the five seat pairs whose positions it labels 0 and 1.
 
 Every line ends by itself: a position that is won, dead or out of
 budget is never expanded, and in any other the Maker to move has a
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Optional
 
 from .engine import (
@@ -186,12 +187,52 @@ def _goal_tables(n: int, goal: str, bit: list) -> tuple:
     return won, dead
 
 
+def _relabellings(n: int, bit: list) -> list:
+    """groups[mpos + 1][bpos + 1] = (tag, cmpos, cbpos, renamings):
+    the canonical positions, their share of the key, and for each
+    renaming that sends mpos to 0 and bpos to the next label, the mask
+    tables (lo, hi) and the canonical-to-actual vertex map.
+
+    One pass over the vertex-to-label permutations, in lexicographic
+    order, builds each renaming once. The one that labels v0 and v1 as
+    0 and 1 joins the five seat groups it canonicalises: (-1, -1),
+    (v0, -1), (v0, v0), (-1, v0) and (v0, v1). So every group holds its
+    renamings in lexicographic order of the permutation.
+    """
+    edges = edge_count(n)
+    half = edges // 2
+    groups = [[[] for _ in range(n + 1)] for _ in range(n + 1)]
+    for perm in permutations(range(n)):
+        moved = [bit[perm[a]][perm[b]] for a, b in combinations(range(n), 2)]
+        lo = [0] * (1 << half)
+        hi = [0] * (1 << (edges - half))
+        for table, shift in ((lo, 0), (hi, half)):
+            for m in range(1, len(table)):
+                low = m & -m
+                table[m] = table[m ^ low] | moved[low.bit_length() - 1 + shift]
+        label = [0] * n
+        for v in range(n):
+            label[perm[v]] = v
+        renaming = (lo, hi, tuple(label))
+        v0, v1 = label[0], label[1]
+        for mpos, bpos in ((-1, -1), (v0, -1), (v0, v0), (-1, v0), (v0, v1)):
+            groups[mpos + 1][bpos + 1].append(renaming)
+    for mpos, row in enumerate(groups, -1):
+        for bpos, renamings in enumerate(row, -1):
+            cmpos = -1 if mpos < 0 else 0
+            cbpos = -1 if bpos < 0 else int(0 <= mpos != bpos)
+            tag = ((cmpos + 1) * 3 + cbpos + 1) * 2
+            row[bpos + 1] = (tag, cmpos, cbpos, tuple(renamings))
+    return groups
+
+
 class _Solver:
     """Minimax over positions (mm, bm, mpos, bpos, maker_turn): edge
     bitmasks, positions (-1 before placement) and 1 when the Maker
     moves. The memo maps a canonical key to (v, move): v >= 0 is the
     exact value, v < 0 means prevented within a budget of -v; the move
-    is in the canonical frame."""
+    is in the canonical frame. ``groups`` holds, per seat pair, the
+    renamings that ``_relabellings`` built once each."""
 
     def __init__(self, n: int, goal: str, node_limit: int):
         if n < 3 or n > ORACLE_MAX_N:
@@ -209,57 +250,7 @@ class _Solver:
         self.won, self.dead = _goal_tables(n, goal, self.bit)
         self.half = self.edges // 2
         self.low_mask = (1 << self.half) - 1
-        self.groups = self._relabellings()
-
-    def _relabellings(self) -> list:
-        """groups[mpos + 1][bpos + 1] = (tag, cmpos, cbpos, renamings):
-        the canonical positions, their share of the key, and for each
-        renaming that sends mpos to 0 and bpos to the next label, the
-        mask tables (lo, hi) and the canonical-to-actual vertex map."""
-        n, bit, half = self.n, self.bit, self.half
-        tables = {}
-
-        def renaming(perm: tuple) -> tuple:
-            if perm not in tables:
-                moved = [0] * self.edges
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        moved[edge_index(n, a, b)] = bit[perm[a]][perm[b]]
-                lo = [0] * (1 << half)
-                hi = [0] * (1 << (self.edges - half))
-                for table, shift in ((lo, 0), (hi, half)):
-                    for m in range(1, len(table)):
-                        low = m & -m
-                        table[m] = (table[m ^ low]
-                                    | moved[low.bit_length() - 1 + shift])
-                label = [0] * n
-                for v in range(n):
-                    label[perm[v]] = v
-                tables[perm] = (lo, hi, tuple(label))
-            return tables[perm]
-
-        groups = []
-        for mpos in range(-1, n):
-            row = []
-            for bpos in range(-1, n):
-                fixed = [mpos] if mpos >= 0 else []
-                if bpos >= 0 and bpos != mpos:
-                    fixed.append(bpos)
-                rest = [v for v in range(n) if v not in fixed]
-                cmpos = 0 if mpos >= 0 else -1
-                cbpos = -1 if bpos < 0 else fixed.index(bpos)
-                renamings = []
-                for order in permutations(range(len(fixed), n)):
-                    perm = [0] * n
-                    for label, v in enumerate(fixed):
-                        perm[v] = label
-                    for label, v in zip(order, rest):
-                        perm[v] = label
-                    renamings.append(renaming(tuple(perm)))
-                tag = ((cmpos + 1) * 3 + cbpos + 1) * 2
-                row.append((tag, cmpos, cbpos, tuple(renamings)))
-            groups.append(row)
-        return groups
+        self.groups = _relabellings(n, self.bit)
 
     def _canonical(self, mm: int, bm: int, mpos: int, bpos: int,
                    maker_turn: int) -> tuple:

@@ -187,14 +187,6 @@ def _record_fields(state: GameState, player: Player, move: Move) -> tuple:
             None if kind is _PASS else move.target)
 
 
-def _record_for(entries: list, state: GameState, player: Player,
-                move: Move) -> MoveRecord:
-    """The record of ``move``, read from the state before it."""
-    rnd, name, origin, target = _record_fields(state, player, move)
-    return MoveRecord(len(entries), rnd, name, move.kind._value_, origin,
-                      target)
-
-
 def run_game(config: GameConfig,
              policies: Optional[tuple] = None) -> GameResult:
     """Play one game to completion and return its checked result.
@@ -241,8 +233,11 @@ def run_game(config: GameConfig,
         except StrategyAssertionError as exc:
             assertion = exc
         else:
-            record = _record_for(entries, state, player, move)
+            rnd, name, origin, target = _record_fields(state, player, move)
             apply_move(state, player, move)
+            # Only a move the engine accepted has a kind name to record.
+            record = MoveRecord(len(entries), rnd, name, move.kind._value_,
+                                origin, target)
             entries.append(record)
             suite.observe(record, state)
             if certificate_of is not None:

@@ -251,6 +251,18 @@ class TestInPlaceContract:
                            Player.BREAKER, Move.traverse(2)),
         "pass-with-moves": ("pass-with-moves", lambda: new_game(4),
                             Player.BREAKER, Move.pass_()),
+        # A kind must be a MoveKind, not the str that equals one: it
+        # would otherwise be judged by the wrong rule, or played.
+        "str-kind-claim": ("wrong-kind",
+                           lambda: _play(new_game(5), Move.place(0, 1),
+                                         Move.place(2, 3)),
+                           Player.BREAKER, Move("claim", None, 4)),
+        "str-kind-traverse": ("wrong-kind",
+                              lambda: _play(new_game(5), Move.place(0, 1),
+                                            Move.place(2, 3)),
+                              Player.BREAKER, Move("traverse", None, 0)),
+        "str-kind-unplaced": ("wrong-kind", lambda: new_game(4),
+                              Player.BREAKER, Move("claim", None, 1)),
     }
 
     @pytest.mark.parametrize("rule,build,player,move", REJECTED.values(),

@@ -20,7 +20,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -47,6 +50,7 @@ from walkergames.oracle import (
     _bit_rows,
     _goal_tables,
     _internal_from_state,
+    _relabellings,
     _Solver,
     cross_validate,
     oracle_moves,
@@ -390,6 +394,26 @@ class TestLimitsAndErrors:
         assert solve(4, "connectivity", Player.BREAKER,
                      node_limit=nodes).nodes == nodes
 
+    def test_recursion_overflow_is_a_limit_error(self, monkeypatch):
+        limits = []
+
+        def too_deep(*args):
+            limits.append(sys.getrecursionlimit())
+            raise RecursionError
+
+        monkeypatch.setattr(_Solver, "value", too_deep)
+        limit = sys.getrecursionlimit()
+        with pytest.raises(OracleLimitError, match="search too deep"):
+            solve(3, "connectivity", Player.BREAKER)
+        assert limits and limits[0] >= 100_000
+        assert sys.getrecursionlimit() == limit
+
+    def test_mid_turn_positions_rejected(self):
+        state = new_game(4, Bias(1, 1), Player.BREAKER)
+        state.moves_left_in_turn = 2
+        with pytest.raises(ValueError, match="turn boundary"):
+            solve_from_state(state, "connectivity")
+
     def test_prevention_still_carries_a_variation(self):
         result = solve(3, "connectivity", Player.MAKER, move_cap=10)
         assert len(result.pv) > 0
@@ -400,6 +424,50 @@ class TestLimitsAndErrors:
         result = solve(3, "connectivity", Player.BREAKER)
         blob = json.dumps(result.to_json())
         assert '"outcome": "maker"' in blob
+
+
+class TestRelabellings:
+    """``_relabellings`` builds each renaming once and files it under
+    the seat groups whose positions it sends to labels 0 and 1."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_each_group_holds_its_seats_renamings_in_order(self, n):
+        bit = _bit_rows(n)
+        groups = _relabellings(n, bit)
+        perms = list(itertools.permutations(range(n)))  # vertex -> label
+        assert [len(row) for row in groups] == [n + 1] * (n + 1)
+        filed = Counter()
+        for mpos in range(-1, n):
+            for bpos in range(-1, n):
+                tag, cmpos, cbpos, renamings = groups[mpos + 1][bpos + 1]
+                fixed = list(dict.fromkeys(v for v in (mpos, bpos) if v >= 0))
+                assert cmpos == (0 if mpos >= 0 else -1)
+                assert cbpos == (fixed.index(bpos) if bpos >= 0 else -1)
+                assert tag == ((cmpos + 1) * 3 + cbpos + 1) * 2
+                want = [p for p in perms
+                        if all(p[v] == i for i, v in enumerate(fixed))]
+                assert len(want) == math.factorial(n - len(fixed))
+                got = [tuple(sorted(range(n), key=label.__getitem__))
+                       for _, _, label in renamings]
+                assert got == want
+                filed.update(id(r) for r in renamings)
+        # One renaming per permutation, each in exactly five groups.
+        assert len(filed) == len(perms)
+        assert set(filed.values()) == {5}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_tables_rename_every_edge_set(self, n):
+        """lo and hi send the bits of actual edges {label[c], label[d]}
+        to those of canonical edges {c, d}."""
+        bit = _bit_rows(n)
+        half = n * (n - 1) // 4
+        pairs = list(itertools.combinations(range(n), 2))
+        rng = random.Random(n)
+        for lo, hi, label in _relabellings(n, bit)[0][0][3]:
+            for chosen in [[p] for p in pairs] + [rng.sample(pairs, 3)]:
+                m = sum(bit[label[c]][label[d]] for c, d in chosen)
+                assert (lo[m & (1 << half) - 1] | hi[m >> half]
+                        == sum(bit[c][d] for c, d in chosen))
 
 
 class TestFiveVertexSmoke:

@@ -24,7 +24,14 @@ from hypothesis import strategies as st
 from conftest import traversing_deviant_maker
 
 from walkergames import cli
-from walkergames.engine import MoveKind, Player, apply_move, legal_moves
+from walkergames.engine import (
+    IllegalMoveError,
+    Move,
+    MoveKind,
+    Player,
+    apply_move,
+    legal_moves,
+)
 from walkergames.runner import (
     GameConfig,
     ReplayMismatchError,
@@ -304,6 +311,18 @@ class TestReplay:
         assert result.certificate is None
         footer = replay_transcript(parse_transcript(result.transcript.dumps()))
         assert footer == result.transcript.footer
+
+    def test_policy_move_of_a_str_kind_is_rejected_as_wrong_kind(self):
+        # The engine rejects the move before its kind name is recorded.
+        maker = make_policy(Player.MAKER, "connectivity", 0)
+
+        def str_kind(state):
+            return Move("place", 2, 3)
+
+        config = GameConfig(n=6, maker="connectivity", breaker="random")
+        with pytest.raises(IllegalMoveError) as err:
+            run_game(config, policies=(maker, str_kind))
+        assert err.value.rule == "wrong-kind"
 
     def _tampered(self, lineno_fn, fn):
         result = _game(seed=9)
