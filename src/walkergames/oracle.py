@@ -16,11 +16,11 @@ nothing.
 
 Each position is solved once:
 
-* *Goal tables.* ``won`` and ``dead`` are tables over all edge masks,
-  built with the solver. ``dead`` proves permanent prevention from the
-  Breaker's edges alone (for connectivity they cover every edge at some
-  vertex, for the Hamilton game every Hamilton cycle meets one of
-  them); a dead position scores as prevention at any budget.
+* *Goal tables.* For every edge mask, ``won[mm]`` says whether the
+  Maker's edges reach the goal. Both goals survive adding edges, and
+  the Maker can gain any edge the Breaker lacks, so his edges rule the
+  goal out for good, ``dead[bm]``, exactly when their complement is
+  not won. A dead position scores as prevention at any budget.
 * *Memo without the budget.* The least number of moves v within which
   the Maker forces the goal does not depend on the budget b, as long
   as v <= b; below v the answer is prevention. So the memo holds
@@ -38,12 +38,12 @@ Each position is solved once:
 
 Every line ends by itself: a position that is won, dead or out of
 budget is never expanded, and in any other the Maker to move has a
-move that spends budget. A placed Maker with no free edge and no
-traversal at her seat faces a Breaker star there; an unplaced Maker
-with no free edge faces a Breaker who owns every edge she lacks; both
-are dead for either goal. So no (position, budget) pair repeats
-along a line, and a principal variation from budget b has at most
-2b + 1 moves. A rule change that broke this would overflow the
+move that spends budget. A Maker with only a pass has no free edge and
+none of her own at her seat, or anywhere if unplaced. So the Breaker
+owns every edge there, the complement of his edges leaves a vertex
+bare, and she is dead for either goal. So no (position, budget) pair
+repeats along a line, and a principal variation from budget b has at
+most 2b + 1 moves. A rule change that broke this would overflow the
 recursion (``OracleLimitError``), not return a wrong value.
 
 The optimal move stored with each value yields a principal variation
@@ -158,33 +158,30 @@ def _relabel(mv: tuple, label: tuple) -> Move:
 
 def _goal_tables(n: int, goal: str, bit: list) -> tuple:
     """(won, dead) over all edge masks: won[mm] when the Maker's edges
-    reach the goal, dead[bm] when the Breaker's edges alone rule it out
-    for good."""
+    reach the goal, dead[bm] when the Breaker's edges rule it out for
+    good. Only ``won`` is searched: dead[bm] = 1 - won[full ^ bm], and
+    full ^ bm = full - bm reverses the mask order."""
     size = 1 << edge_count(n)
     won = bytearray(size)
-    dead = bytearray(size)
     if goal == "connectivity":
         ends = [0] * edge_count(n)
         for a in range(n):
             for b in range(a + 1, n):
                 ends[edge_index(n, a, b)] = (1 << a) | (1 << b)
         visited = [0] * size
-        stars = [sum(row) for row in bit]
         for m in range(1, size):
             low = m & -m
             visited[m] = visited[m ^ low] | ends[low.bit_length() - 1]
             won[m] = visited[m] == (1 << n) - 1
-            dead[m] = any(m & s == s for s in stars)
-        return won, dead
-    cycles = []
-    for perm in permutations(range(1, n)):
-        if perm[0] < perm[-1]:  # each cycle once, not once per direction
-            cyc = (0,) + perm
-            cycles.append(sum(bit[cyc[i]][cyc[i - 1]] for i in range(n)))
-    for m in range(size):
-        won[m] = any(m & c == c for c in cycles)
-        dead[m] = all(m & c for c in cycles)
-    return won, dead
+    else:
+        cycles = []
+        for perm in permutations(range(1, n)):
+            if perm[0] < perm[-1]:  # each cycle once, not once per direction
+                cyc = (0,) + perm
+                cycles.append(sum(bit[cyc[i]][cyc[i - 1]] for i in range(n)))
+        for m in range(size):
+            won[m] = any(m & c == c for c in cycles)
+    return won, bytes(1 - w for w in reversed(won))
 
 
 def _relabellings(n: int, bit: list) -> list:

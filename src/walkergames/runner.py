@@ -191,11 +191,11 @@ def run_game(config: GameConfig,
              policies: Optional[tuple] = None) -> GameResult:
     """Play one game to completion and return its checked result.
 
-    ``policies`` may supply a prebuilt (maker, breaker) pair, for callers
-    plugging in custom strategies: any callables from state to move. A
-    Maker with a ``certificate()`` method hands over the Hamilton cycle
-    it has built through it. The header still records the configured
-    strategy ids.
+    ``policies`` may supply a prebuilt (maker, breaker) pair of custom
+    strategies: callables from state to ``Move``, any other result being
+    a "wrong-kind" IllegalMoveError. A Maker with a ``certificate()``
+    method hands over the Hamilton cycle it has built through it. The
+    header still records the configured strategy ids.
     """
     # The default cap is 10 n, so a bad n must be named before the cap is.
     check_board_size(config.n)
@@ -233,6 +233,9 @@ def run_game(config: GameConfig,
         except StrategyAssertionError as exc:
             assertion = exc
         else:
+            if not isinstance(move, Move):  # replay builds its own Moves
+                raise IllegalMoveError(
+                    "wrong-kind", f"policy returned {move!r}, not a Move")
             rnd, name, origin, target = _record_fields(state, player, move)
             apply_move(state, player, move)
             # Only a move the engine accepted has a kind name to record.

@@ -40,6 +40,8 @@ from walkergames.engine import (
     Bias,
     Move,
     Player,
+    connectivity_won,
+    hamilton_won,
     legal_moves,
     new_game,
 )
@@ -263,6 +265,47 @@ class TestEveryLineEnds:
                         assert len(result.pv) <= 2 * budget + 1, (state, goal)
                         solved += 1
         assert checked >= 300 and stuck >= 20 and solved >= 500
+
+
+class TestGoalTables:
+    """``dead`` is ``won`` read through the complement: the Breaker's
+    edges rule the goal out for good exactly when the Maker, given every
+    other edge, would still miss it."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_dead_matches_the_engine_on_the_complement(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        bit = _bit_rows(n)
+        tables = {goal: _goal_tables(n, goal, bit) for goal in GOALS}
+        engine_won = {"connectivity": connectivity_won,
+                      "hamilton": hamilton_won}
+        for bm in range(1 << len(pairs)):
+            theirs = [(a, b) for a, b in pairs if bit[a][b] & bm]
+            state = build_state(
+                n, maker_edges=[e for e in pairs if e not in theirs],
+                breaker_edges=theirs)
+            for goal, (_, dead) in tables.items():
+                assert dead[bm] == (not engine_won[goal](state)), (goal, bm)
+
+    def test_dead_matches_the_star_and_cycle_constructions_at_n6(self):
+        """The Breaker's edges rule connectivity out when they hold every
+        edge at some vertex, and the Hamilton game when they meet every
+        Hamilton cycle."""
+        n = 6
+        bit = _bit_rows(n)
+        size = 1 << n * (n - 1) // 2
+        stars = [sum(row) for row in bit]
+        cycles = {sum(bit[c[i]][c[i - 1]] for i in range(n))
+                  for c in itertools.permutations(range(n))}
+        assert len(cycles) == math.factorial(n - 1) // 2
+        reference = {
+            "connectivity": [any(m & s == s for s in stars)
+                             for m in range(size)],
+            "hamilton": [all(m & c for c in cycles) for m in range(size)],
+        }
+        for goal in GOALS:
+            _, dead = _goal_tables(n, goal, bit)
+            assert list(map(bool, dead)) == reference[goal], goal
 
 
 class TestGeneratorAgreement:

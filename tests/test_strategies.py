@@ -96,6 +96,16 @@ class TestChaseOpening:
         assert chase_move(state, mem) == Move.place(0, 1)
         assert mem.path_order[0] == 0
 
+    def test_walled_start_takes_the_first_legal_placement(self):
+        # At (1:5) the Breaker ends his first turn on 0 owning every edge
+        # there, so no placement can start where he stands.
+        state = _played(4, Move.place(1, 0), Move.claim(2), Move.traverse(0),
+                        Move.claim(3), Move.traverse(0), bias=(1, 5))
+        assert state.to_move is Player.MAKER and state.breaker_pos == 0
+        mem = StrategyMemory()
+        assert connectivity_maker_move(state, mem) == Move.place(1, 2)
+        assert mem.path_order == [1, 2]
+
 
 class TestChasePriorities:
     def test_rule1_prefers_larger_opponent_degree(self):

@@ -324,6 +324,17 @@ class TestReplay:
             run_game(config, policies=(maker, str_kind))
         assert err.value.rule == "wrong-kind"
 
+    @pytest.mark.parametrize("returned", [None, (MoveKind.PLACE, 2, 3)],
+                             ids=["none", "plain-tuple"])
+    def test_policy_result_that_is_not_a_move_is_rejected_as_wrong_kind(
+            self, returned):
+        # run_game checks the type before it reads the result's fields.
+        maker = make_policy(Player.MAKER, "connectivity", 0)
+        config = GameConfig(n=6, maker="connectivity", breaker="random")
+        with pytest.raises(IllegalMoveError) as err:
+            run_game(config, policies=(maker, lambda state: returned))
+        assert err.value.rule == "wrong-kind"
+
     def _tampered(self, lineno_fn, fn):
         result = _game(seed=9)
         text = result.transcript.dumps()
